@@ -5,8 +5,8 @@
 //! the hot loops below must perform **zero** heap allocations:
 //!
 //! - `MachinePipeline::ingest_column` on a trend-family detector (the
-//!   e14 columnar serving path), including the per-sample Sen-slope
-//!   refits,
+//!   e14 columnar serving path), including the sorted-window updates and
+//!   the Mann–Kendall and Sen-slope refits,
 //! - `StreamingHolder::push` including emissions,
 //! - `StreamingDimension::push` (both window methods) including
 //!   emissions,
@@ -28,6 +28,7 @@ use aging_fractal::spectrum::{SpectrumConfig, StreamingSpectrum};
 use aging_fractal::streaming::{StreamingDimension, StreamingHolder, WindowDimension};
 use aging_memsim::Counter;
 use aging_par::Pool;
+use aging_stream::detector::StreamingTrend;
 use aging_stream::pipeline::{CounterDetector, MachinePipeline, PipelineEvent};
 use aging_stream::{DetectorSpec, GateConfig};
 
@@ -103,16 +104,18 @@ fn noise(n: usize) -> Vec<f64> {
 }
 
 /// e14-style trend pipeline: columnar steady-state ingest must not
-/// allocate once the gate runs, refit arena and event vec are warm.
+/// allocate once the gate runs, refit arena and event vec are warm —
+/// Mann–Kendall refits, sorted-window updates and Sen-slope refits alike.
 fn trend_pipeline_stays_allocation_free() {
+    let config = TrendPredictorConfig {
+        window: 64,
+        refit_every: 4,
+        alarm_horizon_secs: 1e6,
+        ..TrendPredictorConfig::depleting(5.0)
+    };
     let detectors = [CounterDetector {
         counter: Counter::AvailableBytes,
-        spec: DetectorSpec::Trend(TrendPredictorConfig {
-            window: 64,
-            refit_every: 4,
-            alarm_horizon_secs: 1e6,
-            ..TrendPredictorConfig::depleting(5.0)
-        }),
+        spec: DetectorSpec::Trend(config.clone()),
     }];
     let gate = GateConfig {
         nominal_period_secs: 5.0,
@@ -121,11 +124,16 @@ fn trend_pipeline_stays_allocation_free() {
     let mut pipeline = MachinePipeline::new(&detectors, FusionRule::Any, gate).unwrap();
     let mut out: Vec<PipelineEvent> = Vec::with_capacity(64);
 
-    // Growing AvailableBytes never extrapolates to exhaustion, so no
-    // alert is ever pushed into `out`.
+    // A noisy decline of 20 B/s from 1 GB: Mann–Kendall reports a
+    // significant decrease, so every refit runs Sen's slope, yet the
+    // ETA (~5e7 s) stays beyond the 1e6 s horizon and no alert is ever
+    // pushed into `out`. The noise has ties and keeps the slopes varied.
+    let wiggle = noise(64 * 24);
     let column = |start: usize| -> (Vec<f64>, Vec<f64>) {
         let times = (0..64).map(|k| 5.0 * (start + k) as f64).collect();
-        let values = (0..64).map(|k| 1e9 + (start + k) as f64).collect();
+        let values = (start..start + 64)
+            .map(|i| 1e9 - 100.0 * i as f64 + (wiggle[i] * 150.0).round())
+            .collect();
         (times, values)
     };
 
@@ -149,6 +157,15 @@ fn trend_pipeline_stays_allocation_free() {
         "steady-state ingest_column allocated {delta} times"
     );
     assert!(out.is_empty(), "unexpected pipeline events: {out:?}");
+
+    // The same values through a bare detector: an ETA proves the refits
+    // above reached Sen's slope.
+    let mut trend = StreamingTrend::new(config).unwrap();
+    for c in 0..fed / 64 + measured.len() {
+        let (_, values) = column(64 * c);
+        trend.push_slice(&values).unwrap();
+    }
+    assert!(trend.eta_secs().is_some(), "the Sen-slope path never ran");
 }
 
 /// Streaming Hölder pushes — including per-push emissions once the ring
