@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass, in the order it fails fastest.
-#   ./ci.sh          full gate (build, tests, clippy -D warnings, fmt check)
+#   ./ci.sh          full gate (build, tests, clippy -D warnings, fmt check,
+#                    rustdoc -D warnings)
 #   ./ci.sh quick    skip the release build (debug build + tests + lints)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -71,8 +72,15 @@ fi
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+
+# Broken, private or ambiguous intra-doc links fail the gate, so removing a
+# public item cannot leave a dangling link behind.
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "CI gate passed."

@@ -1986,8 +1986,10 @@ pub fn e16(quick: bool, out: Option<&Path>) -> Result<()> {
 /// on aging machines Δα(t) drifts upward (positive OLS slope and a
 /// last-quarter mean clearly above the first-quarter mean) while
 /// healthy controls stay flat, at every seed; and the bounded-memory
-/// [`StreamingSpectrum`] is bit-identical to the offline
-/// [`spectrum_trace`] reference on every window, at 1 and 4 pool
+/// [`StreamingSpectrum`](aging_fractal::spectrum::StreamingSpectrum) is
+/// bit-identical to the offline
+/// [`spectrum_trace`](aging_fractal::spectrum::spectrum_trace) reference
+/// on every window, at 1 and 4 pool
 /// threads.
 pub fn e17(quick: bool, out: Option<&Path>) -> Result<()> {
     use aging_fractal::spectrum::{spectrum_trace_in, SpectrumConfig, StreamingSpectrum};
@@ -2491,9 +2493,11 @@ pub fn e18(quick: bool, out: Option<&Path>) -> Result<()> {
 /// E19 — spectrum kernel micro-gate: per-emission cost of the rolling
 /// multifractal spectrum, before (honest per-window `spectrum_in`
 /// recompute) versus after (incremental O(stride) accumulator slide in
-/// [`StreamingSpectrum`]). **Hard gates:** the incremental kernel cuts
-/// per-emission cost by at least 2×; streaming stays bit-identical to
-/// the offline [`spectrum_trace_in`] reference at 1 and 4 pool threads;
+/// [`StreamingSpectrum`](aging_fractal::spectrum::StreamingSpectrum)).
+/// **Hard gates:** the incremental kernel cuts per-emission cost by at
+/// least 2×; streaming stays bit-identical to the offline
+/// [`spectrum_trace_in`](aging_fractal::spectrum::spectrum_trace_in)
+/// reference at 1 and 4 pool threads;
 /// and the incremental emissions drift from the naive per-window
 /// recompute by at most 1e-9 relative in `Δα` (the documented low-bit
 /// residue of reassociating the moment sums, measured ~1e-13).

@@ -7,8 +7,7 @@
 //! my history contain everything I will ever release at or below `W`"*
 //! (`total` and `W` are computed under one engine lock, so the pair is
 //! consistent). The aggregator keeps one cursor per shard, pulls each
-//! stream chunk by chunk into a shared
-//! [`WatermarkMerger`](aging_stream::merge::WatermarkMerger), and only
+//! stream chunk by chunk into a shared [`WatermarkMerger`], and only
 //! advances a shard's merger watermark to a reply's `W` once its cursor
 //! has consumed that *same* reply's `total` events — at which point the
 //! merger provably holds every event of that shard at or below `W`.

@@ -869,7 +869,7 @@ pub fn spectrum_trace_in(
 /// Holds the trailing `window + stride` samples in a [`RingBuffer`] (the
 /// extra `stride` keeps the outgoing window's departing pairs
 /// recomputable); once the window has filled, every `stride`-th push
-/// advances the shared [`SlidingStructure`] kernel — an exact full pass
+/// advances the shared `SlidingStructure` kernel — an exact full pass
 /// on the first emission, an O(stride) incremental slide afterwards — so
 /// each emitted [`SpectrumWindow`] is bit-identical to the offline
 /// [`spectrum_trace`] at the same grid position — parity by construction,

@@ -24,7 +24,7 @@
 //! The crate deliberately knows nothing about simulations, detectors or
 //! wire protocols: `aging-memsim` provides the restart *seam*,
 //! `aging-stream` provides the alarm *signal* and `aging-bench` scores
-//! the result with the [`availability`] metric defined here.
+//! the result with the [`availability()`] metric defined here.
 
 pub mod availability;
 pub mod controller;

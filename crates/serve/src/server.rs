@@ -16,8 +16,7 @@
 //!
 //! # Watermarked history
 //!
-//! Events enter a single-source
-//! [`WatermarkMerger`](aging_stream::merge::WatermarkMerger) keyed
+//! Events enter a single-source [`WatermarkMerger`] keyed
 //! `(time, machine_id, emission seq)` — the same shared merge the
 //! in-process [`FleetSupervisor`](aging_stream::supervisor::FleetSupervisor)
 //! and the `aging-cluster` aggregator use — and move to the released
@@ -1285,7 +1284,7 @@ impl Server {
 /// In-process ingestion: a [`Server`] is itself an [`IngestSink`], so
 /// feeders written against the trait can target the serve engine
 /// directly — same apply/journal paths as the wire (records journal as
-/// text-mode entries, columns as [`ENTRY_COLUMN`]), no socket. Samples
+/// text-mode entries, columns as `ENTRY_COLUMN`), no socket. Samples
 /// enter under session id `0` (no live session owns the machines), and
 /// every call upholds the durability discipline: an `Ok` return means
 /// the samples are applied *and* journaled.

@@ -602,17 +602,33 @@ impl StreamingTrend {
     }
 
     /// Restores state written by [`StreamingTrend::encode_state`] into a
-    /// detector constructed with the same config.
+    /// detector constructed with the same config. A failed restore leaves
+    /// the detector unchanged.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] on truncation or a window
-    /// mismatch.
+    /// Returns [`Error::InvalidParameter`] on truncation, a window
+    /// mismatch, a window the kernel rejects, or a push count the window
+    /// cannot have come from.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.mk.restore_state(r)?;
-        self.count = r.u64()?;
-        self.eta = r.opt_f64()?;
-        self.alarmed = r.bool()?;
+        let mut mk = StreamingMannKendall::new(self.config.window)?;
+        mk.restore_state(r)?;
+        let count = r.u64()?;
+        let eta = r.opt_f64()?;
+        let alarmed = r.bool()?;
+        // Every push since the last reset entered the window: it holds all
+        // of them until it fills, and `window` of them after.
+        let len = mk.len() as u64;
+        if count < len || (!mk.is_full() && count != len) {
+            return Err(Error::invalid(
+                "persist",
+                format!("trend push count {count} does not fit a window of {len}"),
+            ));
+        }
+        self.mk = mk;
+        self.count = count;
+        self.eta = eta;
+        self.alarmed = alarmed;
         Ok(())
     }
 }
@@ -1252,6 +1268,49 @@ mod tests {
             det.push(v).unwrap();
         }
         assert!(!det.is_alarmed());
+    }
+
+    #[test]
+    fn trend_restore_rejects_a_count_the_window_cannot_hold() {
+        let cfg = TrendPredictorConfig {
+            window: 16,
+            refit_every: 4,
+            ..TrendPredictorConfig::depleting(30.0)
+        };
+        let blob_with_count = |pushes: u64, count: u64| {
+            let mut det = StreamingTrend::new(cfg.clone()).unwrap();
+            for i in 0..pushes {
+                det.push(1e6 - 400.0 * i as f64).unwrap();
+            }
+            let mut blob = Vec::new();
+            det.mk.encode_state(&mut blob);
+            persist::put_u64(&mut blob, count);
+            persist::put_opt_f64(&mut blob, det.eta);
+            persist::put_bool(&mut blob, det.alarmed);
+            blob
+        };
+        let mut det = StreamingTrend::new(cfg.clone()).unwrap();
+        for i in 0..21 {
+            det.push(5e5 - 10.0 * i as f64).unwrap();
+        }
+        let mut before = Vec::new();
+        det.encode_state(&mut before);
+        // A full window behind fewer pushes than it holds, and a filling
+        // window whose count says otherwise.
+        for blob in [blob_with_count(40, 15), blob_with_count(9, 10)] {
+            assert!(det.restore_state(&mut Reader::new(&blob)).is_err());
+            let mut after = Vec::new();
+            det.encode_state(&mut after);
+            assert_eq!(
+                after, before,
+                "a failed restore must leave the detector unchanged"
+            );
+        }
+        // Counts a stream could have left behind these windows restore.
+        for (pushes, count) in [(40, 16), (40, 41), (9, 9)] {
+            let blob = blob_with_count(pushes, count);
+            det.restore_state(&mut Reader::new(&blob)).unwrap();
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! [`frontier`](WatermarkMerger::frontier) — the minimum watermark over
 //! all sources — because no source can still be holding an earlier event.
 //!
-//! Watermarks are monotone by construction: [`advance`]
-//! (WatermarkMerger::advance) rejects a regressing (late) watermark and
+//! Watermarks are monotone by construction:
+//! [`advance`](WatermarkMerger::advance) rejects a regressing (late) watermark and
 //! keeps the maximum seen, so a source that restarts and briefly
 //! re-advertises an older promise (e.g. a recovered shard replaying its
 //! journal) cannot un-release history.

@@ -5,8 +5,9 @@
 //! # Architecture
 //!
 //! Machines are partitioned round-robin across shards; each shard is one
-//! scoped thread owning its machines' simulations, [`SampleGate`]s and
-//! [`StreamingDetector`]s, so the hot path needs no locks at all. Shards
+//! scoped thread owning its machines' simulations,
+//! [`SampleGate`](crate::gate::SampleGate)s and [`StreamingDetector`]s, so
+//! the hot path needs no locks at all. Shards
 //! talk to the supervisor over a single bounded [`std::sync::mpsc`]
 //! channel carrying three message kinds with two delivery policies:
 //!

@@ -74,23 +74,13 @@ impl MannKendall {
     pub fn test(data: &[f64]) -> Result<Self> {
         Error::require_len(data, 4)?;
         Error::require_finite(data)?;
-        let n = data.len();
-
-        let mut s: i64 = 0;
-        for i in 0..n - 1 {
-            for j in i + 1..n {
-                let d = data[j] - data[i];
-                if d > 0.0 {
-                    s += 1;
-                } else if d < 0.0 {
-                    s -= 1;
-                }
-            }
-        }
-
         let mut sorted = data.to_vec();
         sorted.sort_unstable_by(f64::total_cmp);
-        Ok(MannKendall::from_parts(s, n, tie_term(&sorted)))
+        Ok(MannKendall::from_parts(
+            s_statistic(data),
+            data.len(),
+            tie_term(&sorted),
+        ))
     }
 
     /// The test of `n` samples whose S statistic is `s` and whose tie
@@ -129,6 +119,23 @@ impl MannKendall {
             TrendDirection::None
         }
     }
+}
+
+/// The Mann–Kendall S statistic of `data`: the sum of sign(x_j − x_i) over
+/// every pair i < j.
+fn s_statistic(data: &[f64]) -> i64 {
+    let mut s: i64 = 0;
+    for (i, &earlier) in data.iter().enumerate() {
+        for &later in &data[i + 1..] {
+            let d = later - earlier;
+            if d > 0.0 {
+                s += 1;
+            } else if d < 0.0 {
+                s -= 1;
+            }
+        }
+    }
+    s
 }
 
 /// Seasonal Mann–Kendall test (Hirsch & Slack): the series is split into
@@ -206,10 +213,6 @@ pub struct SenSlope {
     /// Intercept `median(x) - slope * median(t)` anchored at the first
     /// sample's time 0.
     pub intercept: f64,
-    /// Lower bound of an approximate 95 % confidence interval on the slope.
-    pub lower_95: f64,
-    /// Upper bound of an approximate 95 % confidence interval on the slope.
-    pub upper_95: f64,
 }
 
 impl SenSlope {
@@ -231,47 +234,44 @@ impl SenSlope {
     /// pairwise slopes — the allocation-free form streaming refit loops
     /// call once per detection stride.
     ///
-    /// Only three or four order statistics of the slope population are
-    /// needed, so the slopes are *selected*, not sorted, and the selection
-    /// runs inside a band between two pivots drawn from a fixed sample of
-    /// the slopes whenever that band holds every rank read (DESIGN.md §7
-    /// gives the argument). Every output is an order statistic of the
-    /// same multiset of slopes under [`f64::total_cmp`], so it does not
-    /// depend on the order in which slopes are generated or on the
-    /// pivots: results are bit-identical to sorting every slope, and to
-    /// [`SenSlope::estimate`].
+    /// Only the one or two middle order statistics of the slopes and of
+    /// the data are needed, so both are *selected*, not sorted. The slope
+    /// selection runs inside a band between two pivots drawn from a fixed
+    /// sample of the slopes whenever that band holds both middle ranks
+    /// (DESIGN.md §7 gives the argument). Every output is built from order
+    /// statistics of the same multisets under [`f64::total_cmp`], so it
+    /// does not depend on the order in which slopes are generated or on
+    /// the pivots: results are bit-identical to sorting every slope and
+    /// every sample, and to [`SenSlope::estimate`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`SenSlope::estimate`].
     pub fn estimate_with(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Result<Self> {
-        let [slope, lower_95, upper_95] = slope_order_statistics(data, dt, slopes)?;
-        // `slopes` is done with; reuse it to sort the data for its median.
+        let slope = median_slope(data, dt, slopes)?;
+        // `slopes` is done with; reuse it to select the data's middle pair.
         slopes.clear();
         slopes.extend_from_slice(data);
-        slopes.sort_unstable_by(f64::total_cmp);
-        Ok(SenSlope::anchored(slope, lower_95, upper_95, slopes, dt))
+        let middle = middle_pair(slopes, data.len(), 0);
+        Ok(SenSlope::anchored(slope, middle, data.len(), dt))
     }
 
-    /// Completes an estimate from its slope statistics and the samples
-    /// sorted by [`f64::total_cmp`]: the fitted line passes through the
-    /// medians of time and data.
-    fn anchored(slope: f64, lower_95: f64, upper_95: f64, sorted: &[f64], dt: f64) -> Self {
+    /// Completes an estimate from its slope and the middle pair of its `n`
+    /// samples under [`f64::total_cmp`]: the fitted line passes through
+    /// the medians of time and data.
+    fn anchored(slope: f64, (x_lo, x_hi): (f64, f64), n: usize, dt: f64) -> Self {
         // The time axis 0·dt, 1·dt, … is already sorted, so its type-7
         // median is closed-form. Both medians replicate
         // [`crate::stats::quantile`]'s arithmetic exactly.
-        let n = sorted.len();
         let pos = 0.5 * (n - 1) as f64;
         let t_lo = pos.floor() as usize;
         let t_hi = pos.ceil() as usize;
         let frac = pos - t_lo as f64;
         let time_median = (t_lo as f64 * dt) * (1.0 - frac) + (t_hi as f64 * dt) * frac;
-        let data_median = sorted[t_lo] * (1.0 - frac) + sorted[t_hi] * frac;
+        let data_median = x_lo * (1.0 - frac) + x_hi * frac;
         SenSlope {
             slope,
             intercept: data_median - slope * time_median,
-            lower_95,
-            upper_95,
         }
     }
 
@@ -302,17 +302,19 @@ impl SenSlope {
 const BAND_MIN_PAIRS: usize = 512;
 /// Size of the fixed strided sample of slopes the band pivots come from.
 const PIVOT_SAMPLE: usize = 64;
-/// Sample positions added beyond each target rank's expected position —
-/// about three standard errors of a sample quantile — so the pivots
-/// bracket the target ranks despite sampling error.
-const PIVOT_MARGIN: usize = 12;
+/// Sample positions between each pivot and the sample's middle pair. The
+/// band holds about (2·margin + 2)/64 of the slopes, and misses a middle
+/// rank when the sample's median strays by more than the margin. On the
+/// E14 fleet's trend refits, margins 7–9 cost the same within noise; at 8
+/// the band holds ~26 % of the slopes and ~4 % of refits fall back.
+const PIVOT_MARGIN: usize = 8;
 
-/// Sen's slope of `data` with its 95 % bounds, `[median, lower, upper]`
-/// of the pairwise slopes; `slopes` is left holding scratch.
+/// Sen's slope of `data`: the median of its pairwise slopes under
+/// [`f64::total_cmp`]; `slopes` is left holding scratch.
 ///
 /// Uses all pairs up to [`crate::regression::THEIL_SEN_EXACT_LIMIT`]
 /// samples and the pairs of a strided subsample beyond.
-fn slope_order_statistics(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Result<[f64; 3]> {
+fn median_slope(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Result<f64> {
     Error::require_len(data, 2)?;
     Error::require_finite(data)?;
     if !dt.is_finite() || dt <= 0.0 {
@@ -326,35 +328,20 @@ fn slope_order_statistics(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Resul
     };
     fill_slopes(data, dt, stride, slopes);
     let m = slopes.len();
-
-    // Normal-approximation confidence interval on the rank of the slope
-    // (Gilbert 1987). With subsampling this is approximate. The ranks
-    // depend only on `n`/`m`, so they are known before any selection.
-    let nf = n as f64;
-    let var_s = nf * (nf - 1.0) * (2.0 * nf + 5.0) / 18.0;
-    let c = 1.96 * var_s.sqrt();
-    let lo_rank = (((m as f64 - c) / 2.0).floor().max(0.0)) as usize;
-    let hi_rank = ((((m as f64 + c) / 2.0).ceil()) as usize).min(m - 1);
-    // Every rank the estimate reads, ascending (c > 0 puts the bounds
-    // outside the median ranks); an odd count reads its middle twice.
-    let mid_lo = if m % 2 == 1 { m / 2 } else { m / 2 - 1 };
-    let ranks = [lo_rank, mid_lo, m / 2, hi_rank];
-
     // The data are finite, so a slope is NaN only where a divisor
     // overflows; the band's value comparisons need NaN-free slopes.
     let banded = m >= BAND_MIN_PAIRS && ((n - 1) as f64 * dt).is_finite();
-    let [lower_95, below_mid, above_mid, upper_95] = if banded {
-        let pivots = band_pivots(slopes, &ranks);
-        select_ranks_banded(data, dt, stride, slopes, &ranks, pivots)
+    let (below_mid, above_mid) = if banded {
+        let pivots = band_pivots(slopes);
+        middle_pair_banded(data, dt, stride, slopes, pivots)
     } else {
-        select_ranks(slopes, &ranks, 0)
+        middle_pair(slopes, m, 0)
     };
-    let slope = if m % 2 == 1 {
+    Ok(if m % 2 == 1 {
         above_mid
     } else {
         0.5 * (below_mid + above_mid)
-    };
-    Ok([slope, lower_95, upper_95])
+    })
 }
 
 /// Fills `slopes` with the pairwise slopes of the samples at multiples of
@@ -377,87 +364,68 @@ fn fill_slopes(data: &[f64], dt: f64, stride: usize, slopes: &mut Vec<f64>) {
     }
 }
 
-/// Pivots for [`select_ranks_banded`], read from a fixed strided sample
-/// of `slopes`: the sample's order statistics [`PIVOT_MARGIN`] positions
-/// outside where the lowest and highest of `ranks` are expected, or an
-/// infinity where that runs off the sample.
-fn band_pivots(slopes: &[f64], ranks: &[usize; 4]) -> (f64, f64) {
-    let m = slopes.len();
-    let step = m / PIVOT_SAMPLE;
-    let mut sample = [0.0; PIVOT_SAMPLE];
-    for (k, s) in sample.iter_mut().enumerate() {
-        *s = slopes[k * step];
-    }
-    let expected = |rank: usize| rank * PIVOT_SAMPLE / m;
-    let lo = match expected(ranks[0]).checked_sub(PIVOT_MARGIN) {
-        Some(k) => *sample.select_nth_unstable_by(k, f64::total_cmp).1,
-        None => f64::NEG_INFINITY,
-    };
-    let k = expected(ranks[3]) + PIVOT_MARGIN + 1;
-    let hi = if k < PIVOT_SAMPLE {
-        *sample.select_nth_unstable_by(k, f64::total_cmp).1
-    } else {
-        f64::INFINITY
-    };
+/// Pivots for [`middle_pair_banded`]: the order statistics
+/// [`PIVOT_MARGIN`] positions below and above the middle pair of a fixed
+/// strided sample of `slopes`.
+fn band_pivots(slopes: &[f64]) -> (f64, f64) {
+    let step = slopes.len() / PIVOT_SAMPLE;
+    let mut sample: [f64; PIVOT_SAMPLE] = std::array::from_fn(|k| slopes[k * step]);
+    let (_, &mut lo, above) =
+        sample.select_nth_unstable_by(PIVOT_SAMPLE / 2 - 1 - PIVOT_MARGIN, f64::total_cmp);
+    let hi = *above
+        .select_nth_unstable_by(2 * PIVOT_MARGIN, f64::total_cmp)
+        .1;
     (lo, hi)
 }
 
-/// The order statistics of the NaN-free `slopes` (the pairwise slopes of
-/// `data`, `dt`, `stride`) at the ascending `ranks`, under
-/// [`f64::total_cmp`], selected inside the band of slopes between the
-/// pivots `lo..=hi` when it holds every rank.
+/// The middle pair of the NaN-free `slopes` (the pairwise slopes of
+/// `data`, `dt`, `stride`) under [`f64::total_cmp`], selected inside the
+/// band of slopes between the pivots `lo..=hi` when it holds both middle
+/// ranks.
 ///
 /// One pass counts the slopes below `lo` and another moves the band to
 /// the front. Value comparisons split NaN-free slopes into runs of the
 /// total order (the one pair they tie, −0.0 and +0.0, is adjacent in it),
 /// so rank `r` of the whole population is rank `r − below` of the band.
-/// When a rank falls outside the band, the population the compaction
-/// overwrote is regenerated and the selection runs over all of it. Either
-/// way the result is the same multiset's order statistics: the pivots
-/// change the cost, never the bits.
-fn select_ranks_banded(
+/// When a middle rank falls outside the band, the population the
+/// compaction overwrote is regenerated and the selection runs over all of
+/// it. Either way the result is the same multiset's order statistics: the
+/// pivots change the cost, never the bits.
+fn middle_pair_banded(
     data: &[f64],
     dt: f64,
     stride: usize,
     slopes: &mut Vec<f64>,
-    ranks: &[usize; 4],
     (lo, hi): (f64, f64),
-) -> [f64; 4] {
+) -> (f64, f64) {
+    let m = slopes.len();
     let below = slopes.iter().filter(|&&x| x < lo).count();
     let mut band = 0;
-    for i in 0..slopes.len() {
+    for i in 0..m {
         let x = slopes[i];
         slopes[band] = x;
         band += usize::from((lo <= x) & (x <= hi));
     }
-    if below <= ranks[0] && ranks[3] < below + band {
-        select_ranks(&mut slopes[..band], ranks, below)
+    if below <= (m - 1) / 2 && m / 2 < below + band {
+        middle_pair(&mut slopes[..band], m, below)
     } else {
         fill_slopes(data, dt, stride, slopes);
-        select_ranks(slopes, ranks, 0)
+        middle_pair(slopes, m, 0)
     }
 }
 
-/// The order statistics at the ascending `ranks`, under
-/// [`f64::total_cmp`], of a multiset whose `skip` smallest elements are
-/// not in `values`.
-fn select_ranks(values: &mut [f64], ranks: &[usize; 4], skip: usize) -> [f64; 4] {
-    // Each selection leaves everything above its rank after it, so the
-    // next (higher) rank is searched for there alone.
-    let mut out = [0.0; 4];
-    let mut base = 0;
-    for k in 0..ranks.len() {
-        if k > 0 && ranks[k] == ranks[k - 1] {
-            out[k] = out[k - 1];
-            continue;
-        }
-        let rank = ranks[k] - skip;
-        out[k] = *values[base..]
-            .select_nth_unstable_by(rank - base, f64::total_cmp)
-            .1;
-        base = rank + 1;
+/// The order statistics at ranks ⌊(n − 1)/2⌋ and ⌊n/2⌋ under
+/// [`f64::total_cmp`] (one element twice when `n` is odd) of a multiset
+/// of `n` elements whose `skip` smallest are not in `values`.
+fn middle_pair(values: &mut [f64], n: usize, skip: usize) -> (f64, f64) {
+    let (_, &mut low, above) = values.select_nth_unstable_by((n - 1) / 2 - skip, f64::total_cmp);
+    if n % 2 == 1 {
+        return (low, low);
     }
-    out
+    // The selection leaves every element of higher rank after it, so the
+    // upper middle is the least of those.
+    let high = above.iter().copied().min_by(f64::total_cmp);
+    (low, high.expect("an even count has an upper middle"))
 }
 
 /// Windowed-incremental Mann–Kendall test over the trailing `window`
@@ -469,9 +437,10 @@ fn select_ranks(values: &mut [f64], ranks: &[usize; 4], skip: usize) -> [f64; 4]
 /// comparisons against the surviving window (O(window)), and the incoming
 /// sample adds its own (O(window)) — so a stream of length N costs
 /// O(N·window) instead of O(N·window²) for a recompute-per-sample loop.
-/// A sorted copy of the window, updated by binary-search insert and
-/// remove, keeps the tie correction current too, and hands Sen's slope
-/// its data median.
+/// The same two scans count the samples below and above each sample
+/// entering or leaving, which locates it in a sorted copy of the window:
+/// that keeps the tie correction current too, and hands Sen's slope its
+/// data median.
 ///
 /// [`StreamingMannKendall::statistic`] reproduces [`MannKendall::test`] on
 /// the current window exactly (same S, ties, variance, z and p).
@@ -557,56 +526,39 @@ impl StreamingMannKendall {
         }
         if self.ring.is_full() {
             // The evictee is the oldest element: every pair it belongs to
-            // has it on the earlier side. For finite values `x - oldest > 0`
-            // iff `x > oldest` (IEEE-754 subtraction with gradual underflow
-            // preserves sign and is zero only on exact equality), so the
-            // scan counts with comparisons directly — a branch-free kernel
-            // the compiler can vectorize over both ring slices.
+            // has it on the earlier side.
             let oldest = self.ring.get(0).expect("full ring");
             let (front, tail) = self.ring.as_slices();
-            let mut removed = sign_count(oldest, &front[1..]);
-            removed += sign_count(oldest, tail);
-            self.s -= removed;
-            self.remove_sorted(oldest);
+            let (below, above) = count_below_above(oldest, [&front[1..], tail]);
+            self.s -= above as i64 - below as i64;
+            // Comparisons order finite samples like `total_cmp` but for
+            // ±0.0, which it keeps adjacent: so in the sorted copy the
+            // evictee's run of equal samples starts after the `below`
+            // smaller ones and ends before the `above` larger ones.
+            let (start, end) = (below, self.sorted.len() - above);
+            self.ties -= tie_weight(end - start) - tie_weight(end - start - 1);
+            // Every element of a run has the same bits, except that a run
+            // of zeros holds −0.0 before +0.0 in total order: so a negative
+            // sample leaves from the run's start and any other from its end.
+            let at = if oldest.is_sign_negative() {
+                start
+            } else {
+                end - 1
+            };
+            self.sorted.remove(at);
         }
         // The incoming sample compares against every survivor. `front`
         // holds the oldest element, so the eviction skip stays in-bounds.
         let skip = usize::from(self.ring.is_full());
         let (front, tail) = self.ring.as_slices();
-        self.s -= sign_count(value, &front[skip..]) + sign_count(value, tail);
-        self.ring.push(value);
-        self.insert_sorted(value);
-        Ok(())
-    }
-
-    /// Adds `value` to the sorted copy, and the growth of its run's share
-    /// to the tie term.
-    ///
-    /// Every element of a run of equal samples has the same bits, except
-    /// that a run of zeros holds −0.0 before +0.0 in total order: so a
-    /// negative sample goes in at the run's start and any other at its end.
-    fn insert_sorted(&mut self, value: f64) {
-        let (start, end) = tie_run(&self.sorted, value);
-        let t = end - start;
-        self.ties += tie_weight(t + 1) - tie_weight(t);
+        let (below, above) = count_below_above(value, [&front[skip..], tail]);
+        self.s += below as i64 - above as i64;
+        let (start, end) = (below, self.sorted.len() - above);
+        self.ties += tie_weight(end - start + 1) - tie_weight(end - start);
         let at = if value.is_sign_negative() { start } else { end };
         self.sorted.insert(at, value);
-    }
-
-    /// Removes `value`, which the window holds, from the sorted copy, and
-    /// the shrinkage of its run's share from the tie term; by the layout
-    /// [`StreamingMannKendall::insert_sorted`] keeps, a negative sample
-    /// comes out of its run's start and any other out of its end.
-    fn remove_sorted(&mut self, value: f64) {
-        let (start, end) = tie_run(&self.sorted, value);
-        let t = end - start;
-        self.ties -= tie_weight(t) - tie_weight(t - 1);
-        let at = if value.is_sign_negative() {
-            start
-        } else {
-            end - 1
-        };
-        self.sorted.remove(at);
+        self.ring.push(value);
+        Ok(())
     }
 
     /// Feeds a column of samples, sliding the window as needed; results are
@@ -639,20 +591,27 @@ impl StreamingMannKendall {
 
     /// Restores state written by [`StreamingMannKendall::encode_state`]
     /// into a kernel constructed with the same window, rebuilding the
-    /// sorted copy and tie term from the restored window. A failed
-    /// restore leaves the kernel unchanged.
+    /// sorted copy and tie term from the restored window. Every later
+    /// push adjusts S, so the persisted S is checked against the window's
+    /// own, recomputed in O(window²). A failed restore leaves the kernel
+    /// unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] on truncation, a window
-    /// mismatch or a non-finite sample in the window.
+    /// mismatch, a non-finite sample in the window, or an S that is not
+    /// the window's.
     pub fn restore_state(&mut self, r: &mut crate::persist::Reader<'_>) -> Result<()> {
         let mut ring = RingBuffer::new(self.ring.capacity())?;
         ring.restore_state(r)?;
         if ring.iter().any(|v| !v.is_finite()) {
             return Err(Error::invalid("persist", "non-finite sample in window"));
         }
-        self.s = r.i64()?;
+        let s = r.i64()?;
+        if s != s_statistic(&ring.to_vec()) {
+            return Err(Error::invalid("persist", "S does not match the window"));
+        }
+        self.s = s;
         self.ring = ring;
         self.sorted.clear();
         self.sorted.extend(self.ring.iter());
@@ -720,14 +679,10 @@ impl StreamingMannKendall {
         slopes: &mut Vec<f64>,
     ) -> Result<SenSlope> {
         self.ring.copy_to(window);
-        let [slope, lower_95, upper_95] = slope_order_statistics(window, dt, slopes)?;
-        Ok(SenSlope::anchored(
-            slope,
-            lower_95,
-            upper_95,
-            &self.sorted,
-            dt,
-        ))
+        let slope = median_slope(window, dt, slopes)?;
+        let n = self.sorted.len();
+        let middle = (self.sorted[(n - 1) / 2], self.sorted[n / 2]);
+        Ok(SenSlope::anchored(slope, middle, n, dt))
     }
 
     /// Clears the window (e.g. after a reboot); the configured width is
@@ -738,14 +693,6 @@ impl StreamingMannKendall {
         self.sorted.clear();
         self.ties = 0;
     }
-}
-
-/// The index range of the samples equal (`==`) to `value` in `sorted`.
-fn tie_run(sorted: &[f64], value: f64) -> (usize, usize) {
-    (
-        sorted.partition_point(|&x| x < value),
-        sorted.partition_point(|&x| x <= value),
-    )
 }
 
 /// A run of `t` equal samples' share t(t−1)(2t+5) of the tie term.
@@ -766,22 +713,25 @@ fn tie_term(sorted: &[f64]) -> f64 {
         })
 }
 
-/// Sum of `sign(x - base)` over `xs`, counted with direct comparisons.
+/// How many samples in `parts` are below and above `base`, counted with
+/// direct comparisons.
 ///
-/// For finite operands this matches the subtract-then-test form exactly:
-/// IEEE-754 subtraction with gradual underflow yields zero only on exact
-/// equality and otherwise preserves the sign of the true difference. The
-/// branch-free body autovectorizes, which is what makes the streaming
+/// For finite operands `x > base` iff `x - base > 0` and `x < base` iff
+/// `x - base < 0`: IEEE-754 subtraction with gradual underflow yields zero
+/// only on exact equality and otherwise preserves the sign of the true
+/// difference. So the counts give the sign sums of the batch test, and
+/// the branch-free body autovectorizes, which is what makes the streaming
 /// Mann–Kendall scans slice-speed.
 #[inline]
-fn sign_count(base: f64, xs: &[f64]) -> i64 {
-    let mut pos: i64 = 0;
-    let mut neg: i64 = 0;
-    for &x in xs {
-        pos += i64::from(x > base);
-        neg += i64::from(x < base);
+fn count_below_above(base: f64, parts: [&[f64]; 2]) -> (usize, usize) {
+    let (mut below, mut above) = (0, 0);
+    for xs in parts {
+        for &x in xs {
+            below += usize::from(x < base);
+            above += usize::from(x > base);
+        }
     }
-    pos - neg
+    (below, above)
 }
 
 /// Survival function `P(Z > z)` of the standard normal distribution, via an
@@ -943,16 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn sen_confidence_brackets_slope() {
-        let d: Vec<f64> = (0..60)
-            .map(|i| 5.0 + 0.3 * i as f64 + if i % 3 == 0 { 0.4 } else { -0.2 })
-            .collect();
-        let sen = SenSlope::estimate(&d, 1.0).unwrap();
-        assert!(sen.lower_95 <= sen.slope);
-        assert!(sen.slope <= sen.upper_95);
-    }
-
-    #[test]
     fn time_to_level_extrapolates() {
         // Free memory falling from 100 at 2 units/s hits 0 at t = 50.
         let d: Vec<f64> = (0..10).map(|i| 100.0 - 2.0 * i as f64).collect();
@@ -988,46 +928,54 @@ mod tests {
 
     #[test]
     fn streaming_mk_matches_batch_on_sliding_windows() {
+        let pick = |i: u64, levels: &[f64]| {
+            levels[(i.wrapping_mul(2654435761) >> 7) as usize % levels.len()]
+        };
         // A wiggly signal, then a stretch drawn from four levels (±0.0
         // among them, +0.0 twice as likely) so tied values are evicted on
         // almost every push.
         let mut data: Vec<f64> = (0..200)
             .map(|i| ((i * 13) % 29) as f64 + if i % 7 == 0 { 0.0 } else { 0.5 })
             .collect();
-        data.extend(
-            (0..300u64).map(|i| {
-                [0.0, -0.0, 1.5, -2.0, 0.0][(i.wrapping_mul(2654435761) >> 7) as usize % 5]
-            }),
-        );
-        // 780 pairs: Sen's slope takes the banded selection.
-        let window = 40;
-        let mut mk = StreamingMannKendall::new(window).unwrap();
-        // Samples pushed since the last reset: the batch test's window
-        // never reaches back past a reset.
-        let mut since = 0;
-        for (i, &v) in data.iter().enumerate() {
-            if i == 260 {
-                mk.reset();
-                since = i;
-            }
-            if i % 37 == 11 {
-                // Persist and continue from the restored copy.
-                let mut blob = Vec::new();
-                mk.encode_state(&mut blob);
-                let mut restored = StreamingMannKendall::new(window).unwrap();
-                let mut r = crate::persist::Reader::new(&blob);
-                restored.restore_state(&mut r).unwrap();
-                r.finish().unwrap();
-                mk = restored;
-            }
-            mk.push(v).unwrap();
-            let start = (i + 1).saturating_sub(window).max(since);
-            if i + 1 - start >= 4 {
-                let at = format!("at sample {i}");
-                let batch = MannKendall::test(&data[start..=i]).unwrap();
-                assert_mk_bits(&mk.statistic().unwrap(), &batch, &at);
-                let sen = SenSlope::estimate(&data[start..=i], 5.0).unwrap();
-                assert_sen_bits(&mk.sen_slope(5.0).unwrap(), &sen, &at);
+        data.extend((0..300u64).map(|i| pick(i, &[0.0, -0.0, 1.5, -2.0, 0.0])));
+        // The run of zeros at the bottom of the sorted window, at its top,
+        // then filling it: −0.0 and +0.0 enter and leave the run at both
+        // of its ends, and the run sits at both ends of the window.
+        for levels in [[0.0, -0.0, 3.0], [-0.0, 0.0, -3.0], [0.0, -0.0, -0.0]] {
+            data.extend((0..120u64).map(|i| pick(i, &levels)));
+        }
+        // Window 40 has 780 pairs, so Sen's slope takes the banded
+        // selection; window 4 is the smallest the kernel allows.
+        for window in [4, 40] {
+            let mut mk = StreamingMannKendall::new(window).unwrap();
+            // Samples pushed since the last reset: the batch test's window
+            // never reaches back past a reset.
+            let mut since = 0;
+            for (i, &v) in data.iter().enumerate() {
+                if i == 260 {
+                    mk.reset();
+                    since = i;
+                }
+                if i % 37 == 11 {
+                    // Persist and continue from the restored copy.
+                    let mut blob = Vec::new();
+                    mk.encode_state(&mut blob);
+                    let mut restored = StreamingMannKendall::new(window).unwrap();
+                    let mut r = crate::persist::Reader::new(&blob);
+                    restored.restore_state(&mut r).unwrap();
+                    r.finish().unwrap();
+                    mk = restored;
+                }
+                mk.push(v).unwrap();
+                let start = (i + 1).saturating_sub(window).max(since);
+                if i + 1 - start >= 4 {
+                    let at = format!("window {window}, sample {i}");
+                    let batch = MannKendall::test(&data[start..=i]).unwrap();
+                    assert_mk_bits(&mk.statistic().unwrap(), &batch, &at);
+                    let sen = SenSlope::estimate(&data[start..=i], 5.0).unwrap();
+                    assert_sen_bits(&mk.sen_slope(5.0).unwrap(), &sen, &at);
+                    assert_sen_bits(&sen, &sen_reference(&data[start..=i], 5.0), &at);
+                }
             }
         }
     }
@@ -1056,6 +1004,34 @@ mod tests {
     }
 
     #[test]
+    fn streaming_mk_restore_rejects_wrong_s() {
+        let mut mk = StreamingMannKendall::new(8).unwrap();
+        for v in [5.0, 4.0, 4.0, 2.0, 7.0, 1.0, 3.0, 3.0, 0.5, 6.0] {
+            mk.push(v).unwrap();
+        }
+        // S is the blob's last field: bump it by one.
+        let mut blob = Vec::new();
+        mk.encode_state(&mut blob);
+        blob.truncate(blob.len() - 8);
+        crate::persist::put_i64(&mut blob, mk.s() + 1);
+
+        let mut target = StreamingMannKendall::new(8).unwrap();
+        for v in [1.0, 2.0, 2.0, 9.0] {
+            target.push(v).unwrap();
+        }
+        let before = target.statistic().unwrap();
+        let mut r = crate::persist::Reader::new(&blob);
+        assert!(target.restore_state(&mut r).is_err());
+        // The failed restore left the kernel as it was.
+        assert_mk_bits(
+            &target.statistic().unwrap(),
+            &before,
+            "after failed restore",
+        );
+        assert_eq!(target.window(), [1.0, 2.0, 2.0, 9.0]);
+    }
+
+    #[test]
     fn streaming_mk_rejects_bad_input() {
         assert!(StreamingMannKendall::new(3).is_err());
         let mut mk = StreamingMannKendall::new(8).unwrap();
@@ -1075,9 +1051,9 @@ mod tests {
     }
 
     /// Reference Sen estimate: the textbook `i < j` pair loop (strided
-    /// past [`crate::regression::THEIL_SEN_EXACT_LIMIT`]) and a full sort
-    /// of the slope population under [`f64::total_cmp`] — the parity
-    /// oracle for the banded selection.
+    /// past [`crate::regression::THEIL_SEN_EXACT_LIMIT`]), a full sort of
+    /// the slope population under [`f64::total_cmp`] and a sorted data
+    /// median — the parity oracle for the banded selection.
     fn sen_reference(data: &[f64], dt: f64) -> SenSlope {
         let n = data.len();
         let stride = if n > crate::regression::THEIL_SEN_EXACT_LIMIT {
@@ -1098,17 +1074,10 @@ mod tests {
         } else {
             0.5 * (slopes[m / 2 - 1] + slopes[m / 2])
         };
-        let nf = n as f64;
-        let var_s = nf * (nf - 1.0) * (2.0 * nf + 5.0) / 18.0;
-        let c = 1.96 * var_s.sqrt();
-        let lo_rank = (((m as f64 - c) / 2.0).floor().max(0.0)) as usize;
-        let hi_rank = ((((m as f64 + c) / 2.0).ceil()) as usize).min(m - 1);
         let times: Vec<f64> = (0..n).map(|i| i as f64 * dt).collect();
         SenSlope {
             slope,
             intercept: total_order_median(data) - slope * total_order_median(&times),
-            lower_95: slopes[lo_rank],
-            upper_95: slopes[hi_rank],
         }
     }
 
@@ -1118,16 +1087,6 @@ mod tests {
             got.intercept.to_bits(),
             want.intercept.to_bits(),
             "intercept {at}"
-        );
-        assert_eq!(
-            got.lower_95.to_bits(),
-            want.lower_95.to_bits(),
-            "lower_95 {at}"
-        );
-        assert_eq!(
-            got.upper_95.to_bits(),
-            want.upper_95.to_bits(),
-            "upper_95 {at}"
         );
     }
 
@@ -1205,31 +1164,38 @@ mod tests {
 
     #[test]
     fn band_selection_falls_back_when_pivots_miss() {
-        let data = sen_window(4, 60, 3);
-        let mut slopes = Vec::new();
-        fill_slopes(&data, 5.0, 1, &mut slopes);
-        let mut sorted = slopes.clone();
-        sorted.sort_by(f64::total_cmp);
-        let ranks = [700, 884, 885, 1070];
-        let want = ranks.map(|r| sorted[r].to_bits());
-        let (low, high) = (sorted[ranks[0]], sorted[ranks[3]]);
-        let above_low = *sorted.iter().find(|&&x| x > low).unwrap();
-        let below_high = *sorted.iter().rev().find(|&&x| x < high).unwrap();
-        let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
-        for pivots in [
-            (sorted[600], sorted[1200]), // brackets every rank
-            (neg, inf),                  // the band is everything
-            (low, high),                 // exactly the ranks' values
-            (above_low, high),           // misses the lowest rank
-            (low, below_high),           // misses the highest rank
-            (high, low),                 // inverted: empty band
-            (inf, neg),                  // empty band
-            (inf, inf),                  // everything below the band
-            (neg, neg),                  // everything above the band
-        ] {
-            let got = select_ranks_banded(&data, 5.0, 1, &mut slopes, &ranks, pivots);
-            assert_eq!(got.map(f64::to_bits), want, "pivots {pivots:?}");
+        // 1,711 and 1,770 slopes: an odd and an even middle pair.
+        for n in [59, 60] {
+            let data = sen_window(4, n, 3);
+            let mut slopes = Vec::new();
             fill_slopes(&data, 5.0, 1, &mut slopes);
+            let mut sorted = slopes.clone();
+            sorted.sort_by(f64::total_cmp);
+            let m = sorted.len();
+            let (low, high) = (sorted[(m - 1) / 2], sorted[m / 2]);
+            let above_low = *sorted.iter().find(|&&x| x > low).unwrap();
+            let below_high = *sorted.iter().rev().find(|&&x| x < high).unwrap();
+            let (third, two_thirds) = (sorted[m / 3], sorted[2 * m / 3]);
+            let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
+            for pivots in [
+                (third, two_thirds), // brackets both middle ranks
+                (neg, inf),          // the band is everything
+                (low, high),         // exactly the middle pair's values
+                (above_low, inf),    // misses low: the lower middle is below
+                (neg, below_high),   // misses high: the upper middle is above
+                (two_thirds, third), // inverted: empty band
+                (inf, neg),          // inverted: empty band
+                (inf, inf),          // everything below the band
+                (neg, neg),          // everything above the band
+            ] {
+                let (lo, hi) = middle_pair_banded(&data, 5.0, 1, &mut slopes, pivots);
+                assert_eq!(
+                    (lo.to_bits(), hi.to_bits()),
+                    (low.to_bits(), high.to_bits()),
+                    "n={n} pivots {pivots:?}"
+                );
+                fill_slopes(&data, 5.0, 1, &mut slopes);
+            }
         }
     }
 
@@ -1260,8 +1226,7 @@ mod tests {
             let sb = sliced
                 .sen_slope_with(5.0, &mut Vec::new(), &mut Vec::new())
                 .unwrap();
-            assert_eq!(sa.slope.to_bits(), sb.slope.to_bits());
-            assert_eq!(sa.lower_95.to_bits(), sb.lower_95.to_bits());
+            assert_sen_bits(&sa, &sb, &format!("chunk={chunk}"));
         }
     }
 
