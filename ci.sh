@@ -70,6 +70,26 @@ else
     cargo run --release -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e19
 fi
 
+# E3/E4/E7/E8/E9 are pinned to their committed outputs: a quick run must
+# reproduce each CSV in bench_results/ byte for byte. e3_dimension_trace.csv
+# holds the full-precision dimension and mean-Hölder traces of `analyze`,
+# so this also pins the traces. repro writes ./bench_results under its
+# working directory, so it runs from a temporary directory.
+echo "==> repro e3 e4 e7 e8 e9 CSVs match bench_results/ (quick)"
+csv_dir=$(mktemp -d)
+trap 'rm -rf "$csv_dir"' EXIT
+repo_dir=$PWD
+release=--release
+if [ "$quick" = "quick" ]; then
+    release=
+fi
+(cd "$csv_dir" && cargo run $release --manifest-path "$repo_dir/Cargo.toml" -p aging-bench \
+    --bin repro -- --quick --no-trajectory e3 e4 e7 e8 e9 > /dev/null)
+for csv in e3_alarms e3_dimension_trace e4_available_bytes e4_used_swap_bytes \
+    e7_policies e8_ablation e9_confirm_windows e9_holder_drop e9_jump_delta; do
+    cmp "$csv_dir/bench_results/$csv.csv" "bench_results/$csv.csv"
+done
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings

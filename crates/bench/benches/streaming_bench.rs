@@ -1,6 +1,6 @@
 //! Streaming-kernel benchmarks: the bounded-memory online detector
-//! against the naive alternative of re-running the batch detector from
-//! scratch on every new sample.
+//! against the naive alternative of replaying the whole history through a
+//! fresh detector on every new sample.
 //!
 //! The streaming detector does O(window) work per sample; the
 //! re-run-from-scratch baseline does O(history × window), so at a
@@ -10,7 +10,6 @@
 
 use aging_core::detector::{DetectorConfig, HolderDimensionDetector};
 use aging_memsim::{simulate, Counter, Scenario};
-use aging_stream::detector::StreamingHolderDimension;
 use aging_timeseries::trend::{MannKendall, StreamingMannKendall};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -41,7 +40,7 @@ fn bench_streaming_vs_rescratch(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("incremental", |b| {
         b.iter(|| {
-            let mut det = StreamingHolderDimension::new(wide_config()).unwrap();
+            let mut det = HolderDimensionDetector::new(wide_config()).unwrap();
             for &v in &values {
                 let _ = det.push(std::hint::black_box(v)).unwrap();
             }
@@ -52,7 +51,7 @@ fn bench_streaming_vs_rescratch(c: &mut Criterion) {
         b.iter(|| {
             // The naive online alternative: no retained state, so every
             // arriving sample replays the whole history through a fresh
-            // batch detector.
+            // detector.
             let mut alarmed = false;
             for i in 1..=n {
                 let mut det = HolderDimensionDetector::new(wide_config()).unwrap();

@@ -8,12 +8,13 @@ use crate::scenarios;
 use crate::trajectory;
 use crate::util::{hours, opt_fmt, write_series_csv, Table};
 use aging_core::baseline::{ResourceDirection, TrendPredictorConfig};
-use aging_core::detector::{analyze, DetectorConfig, DimensionMethod, JumpRule};
+use aging_core::detector::{analyze, DetectorConfig, JumpRule};
 use aging_core::eval::{compare, evaluate, PredictorSpec};
 use aging_core::progression::{progression, ProgressionConfig};
 use aging_core::rejuvenation::{run_policy, OutageCosts, Policy};
 use aging_fractal::holder::{holder_trace, HolderEstimator};
 use aging_fractal::spectrum::{leader_cumulants, mfdfa, partition_function, MfdfaConfig};
+use aging_fractal::streaming::WindowDimension;
 use aging_fractal::{generate, hurst};
 use aging_memsim::{simulate_fleet, simulate_with_reboots, Counter, SimReport};
 use aging_timeseries::{stats, Result};
@@ -576,7 +577,7 @@ pub fn e8(quick: bool, out: Option<&Path>) -> Result<()> {
         (
             "dimension: variation".into(),
             DetectorConfig {
-                dimension_method: DimensionMethod::Variation,
+                dimension_method: WindowDimension::Variation,
                 ..base.clone()
             },
         ),

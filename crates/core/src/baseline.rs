@@ -11,8 +11,9 @@
 //! [`AgingPredictor`], so the evaluation harness can score them uniformly.
 
 use crate::detector::{DetectorConfig, HolderDimensionDetector};
+use aging_timeseries::persist::{self, Reader};
 use aging_timeseries::regression::ols;
-use aging_timeseries::trend::{MannKendall, SenSlope, TrendDirection};
+use aging_timeseries::trend::{StreamingMannKendall, TrendDirection};
 use aging_timeseries::{Error, Result};
 
 /// Whether the monitored resource depletes toward exhaustion (available
@@ -117,79 +118,31 @@ impl TrendPredictorConfig {
     }
 }
 
-/// Shared state of the windowed trend predictors.
-#[derive(Debug, Clone)]
-struct TrendState {
-    config: TrendPredictorConfig,
-    buffer: Vec<f64>,
-    count: usize,
-    eta: Option<f64>,
-    alarmed: bool,
-}
-
-impl TrendState {
-    fn new(config: TrendPredictorConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(TrendState {
-            config,
-            buffer: Vec::new(),
-            count: 0,
-            eta: None,
-            alarmed: false,
-        })
-    }
-
-    fn push_value(&mut self, value: f64) -> Result<bool> {
-        if !value.is_finite() {
-            return Err(Error::NonFinite { index: self.count });
-        }
-        self.count += 1;
-        self.buffer.push(value);
-        let w = self.config.window;
-        if self.buffer.len() > w {
-            let excess = self.buffer.len() - w;
-            self.buffer.drain(..excess);
-        }
-        Ok(self.buffer.len() == w && self.count.is_multiple_of(self.config.refit_every))
-    }
-
-    fn trend_is_toward_exhaustion(&self, slope: f64) -> bool {
-        match self.config.direction {
-            ResourceDirection::Depleting => slope < 0.0,
-            ResourceDirection::Filling => slope > 0.0,
-        }
-    }
-
-    /// Converts a predicted crossing time (seconds from the window start)
-    /// into an ETA from *now* (the window end) and updates alarm state.
-    fn update_eta(&mut self, crossing_from_window_start: Option<f64>) -> bool {
-        let window_span = (self.buffer.len() - 1) as f64 * self.config.sample_period_secs;
-        self.eta = crossing_from_window_start
-            .map(|t| (t - window_span).max(0.0))
-            .filter(|t| t.is_finite());
-        let fire = match self.eta {
-            Some(eta) => eta <= self.config.alarm_horizon_secs,
-            None => false,
-        };
-        if fire && !self.alarmed {
-            self.alarmed = true;
-            return true;
-        }
-        false
-    }
-
-    fn reset(&mut self) {
-        self.buffer.clear();
-        self.count = 0;
-        self.eta = None;
-        self.alarmed = false;
-    }
-}
-
-/// Mann–Kendall + Sen-slope exhaustion predictor (the classical baseline).
+/// Mann–Kendall + Sen-slope exhaustion predictor (the classical baseline),
+/// in bounded memory.
+///
+/// Every `refit_every` samples, once the `window`-sample window has
+/// filled, the Mann–Kendall test decides whether the window trends
+/// toward exhaustion at significance `alpha`; if so, Sen's slope
+/// extrapolates the window to `exhaustion_level`, and the alarm fires
+/// (and latches) the first time that estimate falls within
+/// `alarm_horizon_secs`. [`StreamingMannKendall`] slides the S statistic
+/// and tie term in O(window) per sample, bit-identical to
+/// [`aging_timeseries::trend::MannKendall::test`] and
+/// [`aging_timeseries::trend::SenSlope::estimate`]
+/// on the same window.
 #[derive(Debug, Clone)]
 pub struct SenSlopePredictor {
-    state: TrendState,
+    config: TrendPredictorConfig,
+    mk: StreamingMannKendall,
+    count: u64,
+    eta: Option<f64>,
+    alarmed: bool,
+    // Refit scratch (window copy, pairwise slopes). Transient:
+    // cleared-and-refilled per refit, deliberately absent from
+    // `encode_state` — contents never outlive one `push`.
+    scratch_window: Vec<f64>,
+    scratch_slopes: Vec<f64>,
 }
 
 impl SenSlopePredictor {
@@ -199,9 +152,159 @@ impl SenSlopePredictor {
     ///
     /// Propagates [`TrendPredictorConfig::validate`] failures.
     pub fn new(config: TrendPredictorConfig) -> Result<Self> {
+        config.validate()?;
+        let mk = StreamingMannKendall::new(config.window)?;
         Ok(SenSlopePredictor {
-            state: TrendState::new(config)?,
+            config,
+            mk,
+            count: 0,
+            eta: None,
+            alarmed: false,
+            scratch_window: Vec::new(),
+            scratch_slopes: Vec::new(),
         })
+    }
+
+    /// Feeds one sample; returns `true` when the alarm first fires.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonFinite`] for NaN/infinite input.
+    pub fn push(&mut self, value: f64) -> Result<bool> {
+        self.mk.push(value)?;
+        self.count += 1;
+        let cfg = &self.config;
+        if !self.mk.is_full() || !self.count.is_multiple_of(cfg.refit_every as u64) {
+            return Ok(false);
+        }
+        let Ok(mk) = self.mk.statistic() else {
+            return Ok(false); // degenerate window
+        };
+        let significant = match cfg.direction {
+            ResourceDirection::Depleting => mk.direction(cfg.alpha) == TrendDirection::Decreasing,
+            ResourceDirection::Filling => mk.direction(cfg.alpha) == TrendDirection::Increasing,
+        };
+        if !significant {
+            self.eta = None;
+            return Ok(false);
+        }
+        let Ok(sen) = self.mk.sen_slope_with(
+            cfg.sample_period_secs,
+            &mut self.scratch_window,
+            &mut self.scratch_slopes,
+        ) else {
+            return Ok(false);
+        };
+        let toward_exhaustion = match cfg.direction {
+            ResourceDirection::Depleting => sen.slope < 0.0,
+            ResourceDirection::Filling => sen.slope > 0.0,
+        };
+        if !toward_exhaustion {
+            self.eta = None;
+            return Ok(false);
+        }
+        let window_span = (cfg.window - 1) as f64 * cfg.sample_period_secs;
+        self.eta = sen
+            .time_to_level(cfg.exhaustion_level)
+            .map(|t| (t - window_span).max(0.0))
+            .filter(|t| t.is_finite());
+        let fire = matches!(self.eta, Some(eta) if eta <= cfg.alarm_horizon_secs);
+        if fire && !self.alarmed {
+            self.alarmed = true;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Feeds a column of samples; returns the offset of the firing sample
+    /// and the ETA captured at fire time, if the alarm first fired inside
+    /// this column. State afterwards is bit-identical to calling
+    /// [`SenSlopePredictor::push`] per element.
+    ///
+    /// Samples that cannot land on a refit boundary go to the window
+    /// kernel in runs ([`StreamingMannKendall::push_slice`]); only
+    /// boundary samples take the full statistic/Sen refit path — the same
+    /// work the scalar loop does, minus a per-sample branch cascade.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NonFinite`] at the first NaN/infinite input,
+    /// leaving exactly the preceding samples applied.
+    pub fn push_slice(&mut self, values: &[f64]) -> Result<Option<(usize, Option<f64>)>> {
+        let mut fired = None;
+        if values.iter().any(|v| !v.is_finite()) {
+            // Slow path: the scalar loop owns the error-index bookkeeping.
+            for (k, &value) in values.iter().enumerate() {
+                if self.push(value)? && fired.is_none() {
+                    fired = Some((k, self.eta));
+                }
+            }
+            return Ok(fired);
+        }
+        let refit = self.config.refit_every as u64;
+        let mut i = 0;
+        while i < values.len() {
+            // Number of pushes until `count` next hits a refit boundary;
+            // everything before it can skip the refit check entirely.
+            let until = (refit - self.count % refit) as usize;
+            let run = until.min(values.len() - i);
+            self.mk.push_slice(&values[i..i + run - 1])?;
+            self.count += (run - 1) as u64;
+            if self.push(values[i + run - 1])? && fired.is_none() {
+                fired = Some((i + run - 1, self.eta));
+            }
+            i += run;
+        }
+        Ok(fired)
+    }
+
+    /// Samples consumed since construction or the last reset.
+    pub fn samples_seen(&self) -> u64 {
+        self.count
+    }
+
+    /// Upper bound on retained samples.
+    pub fn memory_bound_samples(&self) -> usize {
+        self.config.window
+    }
+
+    /// Serializes all dynamic state via [`aging_timeseries::persist`].
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        self.mk.encode_state(out);
+        persist::put_u64(out, self.count);
+        persist::put_opt_f64(out, self.eta);
+        persist::put_bool(out, self.alarmed);
+    }
+
+    /// Restores state written by [`SenSlopePredictor::encode_state`] into
+    /// a predictor constructed with the same config. A failed restore
+    /// leaves the predictor unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on truncation, a window
+    /// mismatch, a window the kernel rejects, or a push count the window
+    /// cannot have come from.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        let mut mk = StreamingMannKendall::new(self.config.window)?;
+        mk.restore_state(r)?;
+        let count = r.u64()?;
+        let eta = r.opt_f64()?;
+        let alarmed = r.bool()?;
+        // Every push since the last reset entered the window: it holds all
+        // of them until it fills, and `window` of them after.
+        let len = mk.len() as u64;
+        if count < len || (!mk.is_full() && count != len) {
+            return Err(Error::invalid(
+                "persist",
+                format!("trend push count {count} does not fit a window of {len}"),
+            ));
+        }
+        self.mk = mk;
+        self.count = count;
+        self.eta = eta;
+        self.alarmed = alarmed;
+        Ok(())
     }
 }
 
@@ -211,52 +314,34 @@ impl AgingPredictor for SenSlopePredictor {
     }
 
     fn push(&mut self, value: f64) -> Result<bool> {
-        if !self.state.push_value(value)? {
-            return Ok(false);
-        }
-        let cfg = &self.state.config;
-        let mk = match MannKendall::test(&self.state.buffer) {
-            Ok(mk) => mk,
-            Err(_) => return Ok(false), // degenerate window (constant)
-        };
-        let significant = match cfg.direction {
-            ResourceDirection::Depleting => mk.direction(cfg.alpha) == TrendDirection::Decreasing,
-            ResourceDirection::Filling => mk.direction(cfg.alpha) == TrendDirection::Increasing,
-        };
-        if !significant {
-            self.state.eta = None;
-            return Ok(false);
-        }
-        let sen = match SenSlope::estimate(&self.state.buffer, cfg.sample_period_secs) {
-            Ok(s) => s,
-            Err(_) => return Ok(false),
-        };
-        if !self.state.trend_is_toward_exhaustion(sen.slope) {
-            self.state.eta = None;
-            return Ok(false);
-        }
-        let level = cfg.exhaustion_level;
-        let crossing = sen.time_to_level(level);
-        Ok(self.state.update_eta(crossing))
+        SenSlopePredictor::push(self, value)
     }
 
     fn is_alarmed(&self) -> bool {
-        self.state.alarmed
+        self.alarmed
     }
 
     fn eta_secs(&self) -> Option<f64> {
-        self.state.eta
+        self.eta
     }
 
     fn reset(&mut self) {
-        self.state.reset();
+        self.mk.reset();
+        self.count = 0;
+        self.eta = None;
+        self.alarmed = false;
     }
 }
 
-/// Ordinary least-squares exhaustion predictor.
+/// Ordinary least-squares exhaustion predictor over a trailing window,
+/// refit and extrapolated on the same schedule as [`SenSlopePredictor`].
 #[derive(Debug, Clone)]
 pub struct OlsPredictor {
-    state: TrendState,
+    config: TrendPredictorConfig,
+    buffer: Vec<f64>,
+    count: usize,
+    eta: Option<f64>,
+    alarmed: bool,
 }
 
 impl OlsPredictor {
@@ -266,8 +351,13 @@ impl OlsPredictor {
     ///
     /// Propagates [`TrendPredictorConfig::validate`] failures.
     pub fn new(config: TrendPredictorConfig) -> Result<Self> {
+        config.validate()?;
         Ok(OlsPredictor {
-            state: TrendState::new(config)?,
+            config,
+            buffer: Vec::new(),
+            count: 0,
+            eta: None,
+            alarmed: false,
         })
     }
 }
@@ -278,35 +368,63 @@ impl AgingPredictor for OlsPredictor {
     }
 
     fn push(&mut self, value: f64) -> Result<bool> {
-        if !self.state.push_value(value)? {
+        if !value.is_finite() {
+            return Err(Error::NonFinite { index: self.count });
+        }
+        self.count += 1;
+        self.buffer.push(value);
+        let cfg = &self.config;
+        if self.buffer.len() > cfg.window {
+            let excess = self.buffer.len() - cfg.window;
+            self.buffer.drain(..excess);
+        }
+        if self.buffer.len() < cfg.window || !self.count.is_multiple_of(cfg.refit_every) {
             return Ok(false);
         }
-        let cfg = &self.state.config;
-        let times: Vec<f64> = (0..self.state.buffer.len())
+        let times: Vec<f64> = (0..cfg.window)
             .map(|i| i as f64 * cfg.sample_period_secs)
             .collect();
-        let fit = match ols(&times, &self.state.buffer) {
+        let fit = match ols(&times, &self.buffer) {
             Ok(f) => f,
             Err(_) => return Ok(false),
         };
-        if !self.state.trend_is_toward_exhaustion(fit.slope) {
-            self.state.eta = None;
+        let toward_exhaustion = match cfg.direction {
+            ResourceDirection::Depleting => fit.slope < 0.0,
+            ResourceDirection::Filling => fit.slope > 0.0,
+        };
+        if !toward_exhaustion {
+            self.eta = None;
             return Ok(false);
         }
-        let crossing = fit.solve_for(cfg.exhaustion_level).filter(|&t| t >= 0.0);
-        Ok(self.state.update_eta(crossing))
+        // The fit crosses the level this long after the window start;
+        // the ETA counts from now, the window end.
+        let window_span = (cfg.window - 1) as f64 * cfg.sample_period_secs;
+        self.eta = fit
+            .solve_for(cfg.exhaustion_level)
+            .filter(|&t| t >= 0.0)
+            .map(|t| (t - window_span).max(0.0))
+            .filter(|t| t.is_finite());
+        let fire = matches!(self.eta, Some(eta) if eta <= cfg.alarm_horizon_secs);
+        if fire && !self.alarmed {
+            self.alarmed = true;
+            return Ok(true);
+        }
+        Ok(false)
     }
 
     fn is_alarmed(&self) -> bool {
-        self.state.alarmed
+        self.alarmed
     }
 
     fn eta_secs(&self) -> Option<f64> {
-        self.state.eta
+        self.eta
     }
 
     fn reset(&mut self) {
-        self.state.reset();
+        self.buffer.clear();
+        self.count = 0;
+        self.eta = None;
+        self.alarmed = false;
     }
 }
 
@@ -573,6 +691,49 @@ mod tests {
         assert!(p.is_alarmed());
         let eta = p.eta_secs().expect("eta available");
         assert!(eta <= 3600.0);
+    }
+
+    #[test]
+    fn sen_restore_rejects_a_count_the_window_cannot_hold() {
+        let cfg = TrendPredictorConfig {
+            window: 16,
+            refit_every: 4,
+            ..TrendPredictorConfig::depleting(30.0)
+        };
+        let blob_with_count = |pushes: u64, count: u64| {
+            let mut det = SenSlopePredictor::new(cfg.clone()).unwrap();
+            for i in 0..pushes {
+                det.push(1e6 - 400.0 * i as f64).unwrap();
+            }
+            let mut blob = Vec::new();
+            det.mk.encode_state(&mut blob);
+            persist::put_u64(&mut blob, count);
+            persist::put_opt_f64(&mut blob, det.eta);
+            persist::put_bool(&mut blob, det.alarmed);
+            blob
+        };
+        let mut det = SenSlopePredictor::new(cfg.clone()).unwrap();
+        for i in 0..21 {
+            det.push(5e5 - 10.0 * i as f64).unwrap();
+        }
+        let mut before = Vec::new();
+        det.encode_state(&mut before);
+        // A full window behind fewer pushes than it holds, and a filling
+        // window whose count says otherwise.
+        for blob in [blob_with_count(40, 15), blob_with_count(9, 10)] {
+            assert!(det.restore_state(&mut Reader::new(&blob)).is_err());
+            let mut after = Vec::new();
+            det.encode_state(&mut after);
+            assert_eq!(
+                after, before,
+                "a failed restore must leave the predictor unchanged"
+            );
+        }
+        // Counts a stream could have left behind these windows restore.
+        for (pushes, count) in [(40, 16), (40, 41), (9, 9)] {
+            let blob = blob_with_count(pushes, count);
+            det.restore_state(&mut Reader::new(&blob)).unwrap();
+        }
     }
 
     #[test]

@@ -20,50 +20,32 @@
 //! The jump threshold adapts to the baseline's own variability
 //! (`median + max(jump_delta, mad_multiplier · MAD)`), and the first
 //! `skip_windows` windows are discarded so boot-time warmup does not
-//! contaminate the baseline.
+//! contaminate the baseline; [`crate::discipline::AlarmDiscipline`]
+//! applies that warmup → baseline → confirm → latch rule.
 //!
-//! The detector is streaming: feed one counter sample at a time with
-//! [`HolderDimensionDetector::push`]. Because the Hölder estimator is
-//! centred, the emitted traces trail the newest sample by the estimator's
-//! neighbourhood radius — alarms are attributed to the *push* (wall-clock)
-//! instant, so evaluation lead times are honest.
+//! [`HolderDimensionDetector`] is one bounded-memory online detector:
+//! ring-buffered trailing windows ([`StreamingHolder`],
+//! [`StreamingDimension`]) hold the only history it reads, so each sample
+//! costs O(window) work and the detector holds O(window) memory however
+//! long the stream runs. Each emission hands the batch estimators the
+//! window the batch trace would use, so [`analyze`] reproduces the batch
+//! Hölder trace and the sliding-window dimensions exactly. Because the
+//! Hölder estimator is centred, the traces trail the newest sample by the
+//! estimator's neighbourhood radius — alarms are attributed to the *push*
+//! (wall-clock) instant, so evaluation lead times are honest.
 
-use aging_fractal::holder::{self, HolderEstimator, IncrementConfig};
-use aging_fractal::streaming::WindowDimension;
-use aging_timeseries::{stats, Error, Result};
+use aging_fractal::holder::{HolderEstimator, IncrementConfig};
+use aging_fractal::streaming::{
+    DimensionPoint, StreamingDimension, StreamingHolder, WindowDimension,
+};
+use aging_timeseries::persist::{self, Reader};
+use aging_timeseries::{Error, Result};
 
-/// Which graph-dimension estimator the detector applies to the Hölder
-/// trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum DimensionMethod {
-    /// Grid box-counting (the paper's choice).
-    #[default]
-    BoxCounting,
-    /// Variation/oscillation method (smoother on short windows).
-    Variation,
-}
+use crate::discipline::{AlarmDiscipline, BandRule};
 
-impl DimensionMethod {
-    /// Applies the method to one window of the Hölder trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying estimator's failures (constant windows
-    /// are mapped to dimension 1).
-    pub fn estimate(&self, window: &[f64]) -> Result<f64> {
-        self.window_dimension().estimate(window)
-    }
-
-    /// The equivalent streaming-kernel estimator
-    /// ([`aging_fractal::streaming::WindowDimension`]).
-    pub fn window_dimension(&self) -> WindowDimension {
-        match self {
-            DimensionMethod::BoxCounting => WindowDimension::BoxCounting,
-            DimensionMethod::Variation => WindowDimension::Variation,
-        }
-    }
-}
+/// The detector's name for [`WindowDimension`], the graph-dimension
+/// estimator it applies to the Hölder trace.
+pub use aging_fractal::streaming::WindowDimension as DimensionMethod;
 
 /// Which anomaly rule(s) drive warnings and alarms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -94,7 +76,7 @@ pub struct DetectorConfig {
     /// Stride between dimension windows.
     pub dimension_stride: usize,
     /// Dimension method.
-    pub dimension_method: DimensionMethod,
+    pub dimension_method: WindowDimension,
     /// Initial dimension windows discarded (boot warmup).
     pub skip_windows: usize,
     /// Number of subsequent dimension values that form the baseline.
@@ -131,7 +113,7 @@ impl Default for DetectorConfig {
             max_h: 2.0,
             dimension_window: 128,
             dimension_stride: 16,
-            dimension_method: DimensionMethod::BoxCounting,
+            dimension_method: WindowDimension::BoxCounting,
             skip_windows: 2,
             baseline_windows: 12,
             jump_delta: 0.2,
@@ -193,8 +175,11 @@ impl DetectorConfig {
         if self.dimension_window < 16 {
             return Err(Error::invalid("dimension_window", "must be at least 16"));
         }
-        if self.dimension_stride == 0 {
-            return Err(Error::invalid("dimension_stride", "must be positive"));
+        if self.dimension_stride == 0 || self.dimension_stride > self.dimension_window {
+            return Err(Error::invalid(
+                "dimension_stride",
+                "must be positive and at most dimension_window",
+            ));
         }
         if self.baseline_windows < 2 {
             return Err(Error::invalid("baseline_windows", "must be at least 2"));
@@ -285,7 +270,7 @@ impl DetectorConfigBuilder {
 
     /// Sets the dimension method.
     #[must_use]
-    pub fn dimension_method(mut self, dimension_method: DimensionMethod) -> Self {
+    pub fn dimension_method(mut self, dimension_method: WindowDimension) -> Self {
         self.config.dimension_method = dimension_method;
         self
     }
@@ -368,6 +353,29 @@ pub enum AlertLevel {
     Alarm,
 }
 
+impl AlertLevel {
+    /// Stable one-byte code used by the persistence and wire codecs.
+    pub fn code(self) -> u8 {
+        match self {
+            AlertLevel::Warning => 0,
+            AlertLevel::Alarm => 1,
+        }
+    }
+
+    /// Inverse of [`AlertLevel::code`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on an unknown code.
+    pub fn from_code(code: u8) -> Result<AlertLevel> {
+        match code {
+            0 => Ok(AlertLevel::Warning),
+            1 => Ok(AlertLevel::Alarm),
+            c => Err(Error::invalid("persist", format!("bad alert level {c}"))),
+        }
+    }
+}
+
 impl std::fmt::Display for AlertLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -386,6 +394,31 @@ pub enum Trigger {
     HolderCollapse,
     /// Both at once.
     Both,
+}
+
+impl Trigger {
+    /// Stable one-byte code used by the persistence and wire codecs.
+    pub fn code(self) -> u8 {
+        match self {
+            Trigger::DimensionJump => 0,
+            Trigger::HolderCollapse => 1,
+            Trigger::Both => 2,
+        }
+    }
+
+    /// Inverse of [`Trigger::code`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on an unknown code.
+    pub fn from_code(code: u8) -> Result<Trigger> {
+        match code {
+            0 => Ok(Trigger::DimensionJump),
+            1 => Ok(Trigger::HolderCollapse),
+            2 => Ok(Trigger::Both),
+            c => Err(Error::invalid("persist", format!("bad trigger {c}"))),
+        }
+    }
 }
 
 /// An alert emitted by the detector.
@@ -407,6 +440,43 @@ pub struct Alert {
     pub holder_baseline: f64,
 }
 
+impl Alert {
+    /// Length of the [`Alert::encode`] layout in bytes.
+    pub const ENCODED_LEN: usize = 42;
+
+    /// Appends the alert's one byte layout, shared by detector state,
+    /// alarm journals and the wire: the sample index as a little-endian
+    /// `u64`, the level and trigger codes, then the four measurements as
+    /// raw IEEE-754 bits, little-endian.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        persist::put_usize(out, self.sample_index);
+        persist::put_u8(out, self.level.code());
+        persist::put_u8(out, self.trigger.code());
+        persist::put_f64(out, self.dimension);
+        persist::put_f64(out, self.mean_holder);
+        persist::put_f64(out, self.dimension_baseline);
+        persist::put_f64(out, self.holder_baseline);
+    }
+
+    /// Reads an alert written by [`Alert::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on truncation or a bad level or
+    /// trigger code.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Alert> {
+        Ok(Alert {
+            sample_index: r.usize_()?,
+            level: AlertLevel::from_code(r.u8()?)?,
+            trigger: Trigger::from_code(r.u8()?)?,
+            dimension: r.f64()?,
+            mean_holder: r.f64()?,
+            dimension_baseline: r.f64()?,
+            holder_baseline: r.f64()?,
+        })
+    }
+}
+
 /// Baseline levels established after warmup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Baseline {
@@ -422,12 +492,12 @@ pub struct Baseline {
     pub holder_delta: f64,
 }
 
-/// Streaming Hölder-dimension detector.
+/// Bounded-memory Hölder-dimension detector (see the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use aging_core::detector::{DetectorConfig, HolderDimensionDetector, AlertLevel};
+/// use aging_core::detector::{DetectorConfig, HolderDimensionDetector};
 ///
 /// # fn main() -> Result<(), aging_timeseries::Error> {
 /// let mut det = HolderDimensionDetector::new(DetectorConfig::default())?;
@@ -436,26 +506,26 @@ pub struct Baseline {
 ///     det.push(value)?;
 /// }
 /// // A clean periodic signal never alarms.
-/// assert!(det.alerts().iter().all(|a| a.level != AlertLevel::Alarm));
+/// assert!(!det.is_alarmed());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct HolderDimensionDetector {
     config: DetectorConfig,
-    samples: Vec<f64>,
-    samples_dropped: usize,
-    holder_trace: Vec<f64>,
-    holder_dropped: usize,
-    dimension_trace: Vec<(usize, f64)>,
-    mean_holder_trace: Vec<(usize, f64)>,
-    windows_seen: usize,
-    baseline_dim: Vec<f64>,
-    baseline_h: Vec<f64>,
-    baseline: Option<Baseline>,
-    consecutive_anomalies: usize,
-    alerts: Vec<Alert>,
-    alarmed: bool,
+    holder: StreamingHolder,
+    dimension: StreamingDimension,
+    samples_seen: u64,
+    discipline: AlarmDiscipline<2>,
+    last_alert: Option<Alert>,
+}
+
+/// What one push produced: the Hölder point, the dimension point and the
+/// alert, each when due.
+struct Step {
+    holder: Option<f64>,
+    point: Option<DimensionPoint>,
+    alert: Option<Alert>,
 }
 
 impl HolderDimensionDetector {
@@ -466,21 +536,36 @@ impl HolderDimensionDetector {
     /// Propagates [`DetectorConfig::validate`] failures.
     pub fn new(config: DetectorConfig) -> Result<Self> {
         config.validate()?;
+        let holder =
+            StreamingHolder::new(config.holder_radius, config.holder_max_lag, config.max_h)?;
+        let dimension = StreamingDimension::new(
+            config.dimension_method,
+            config.dimension_window,
+            config.dimension_stride,
+        )?;
+        let discipline = AlarmDiscipline::new(
+            config.skip_windows,
+            config.baseline_windows,
+            config.confirm_windows,
+            config.mad_multiplier,
+            [
+                BandRule {
+                    min_delta: config.jump_delta,
+                    max_factor: 3.0,
+                },
+                BandRule {
+                    min_delta: config.holder_drop,
+                    max_factor: 2.0,
+                },
+            ],
+        )?;
         Ok(HolderDimensionDetector {
             config,
-            samples: Vec::new(),
-            samples_dropped: 0,
-            holder_trace: Vec::new(),
-            holder_dropped: 0,
-            dimension_trace: Vec::new(),
-            mean_holder_trace: Vec::new(),
-            windows_seen: 0,
-            baseline_dim: Vec::new(),
-            baseline_h: Vec::new(),
-            baseline: None,
-            consecutive_anomalies: 0,
-            alerts: Vec::new(),
-            alarmed: false,
+            holder,
+            dimension,
+            samples_seen: 0,
+            discipline,
+            last_alert: None,
         })
     }
 
@@ -495,76 +580,47 @@ impl HolderDimensionDetector {
     /// # Errors
     ///
     /// Returns [`Error::NonFinite`] for NaN/infinite samples (repair gaps
-    /// with [`aging_timeseries::interp`] before feeding) and propagates
-    /// internal estimator failures.
+    /// with [`aging_timeseries::interp`] before feeding; the sample is not
+    /// consumed) and propagates internal estimator failures.
     pub fn push(&mut self, value: f64) -> Result<Option<Alert>> {
+        Ok(self.step(value)?.alert)
+    }
+
+    fn step(&mut self, value: f64) -> Result<Step> {
         if !value.is_finite() {
             return Err(Error::NonFinite {
-                index: self.samples_seen(),
+                index: self.samples_seen as usize,
             });
         }
-        self.samples.push(value);
-
+        self.samples_seen += 1;
+        let mut step = Step {
+            holder: None,
+            point: None,
+            alert: None,
+        };
         // Hölder point for the centre of the trailing neighbourhood.
-        let w = self.config.holder_radius;
-        if self.samples_seen() > 2 * w {
-            let window = &self.samples[self.samples.len() - (2 * w + 1)..];
-            let h =
-                holder::increment_exponent(window, self.config.holder_max_lag, self.config.max_h)?;
-            self.holder_trace.push(h);
-        } else {
-            return Ok(None);
-        }
-
+        step.holder = self.holder.push(value)?;
+        let Some(h) = step.holder else {
+            return Ok(step);
+        };
         // Dimension window due?
-        let n = self.holder_dropped + self.holder_trace.len();
-        let cfg = &self.config;
-        if n < cfg.dimension_window
-            || !(n - cfg.dimension_window).is_multiple_of(cfg.dimension_stride)
-        {
-            return Ok(None);
-        }
-        let window = &self.holder_trace[self.holder_trace.len() - cfg.dimension_window..];
-        let d = cfg.dimension_method.estimate(window)?;
-        let mean_h = stats::mean(window)?;
-        let raw_index = self.samples_seen() - 1;
-        self.dimension_trace.push((raw_index, d));
-        self.mean_holder_trace.push((raw_index, mean_h));
-        self.windows_seen += 1;
-
-        // Warmup skip.
-        if self.windows_seen <= cfg.skip_windows {
-            return Ok(None);
-        }
-
-        // Baseline formation.
-        if self.baseline.is_none() {
-            self.baseline_dim.push(d);
-            self.baseline_h.push(mean_h);
-            if self.baseline_dim.len() >= cfg.baseline_windows {
-                let dim_median = stats::median(&self.baseline_dim)?;
-                let dim_mad = stats::mad(&self.baseline_dim)?;
-                let h_mad = stats::mad(&self.baseline_h)?;
-                self.baseline = Some(Baseline {
-                    dimension: dim_median,
-                    dimension_delta: (cfg.mad_multiplier * dim_mad)
-                        .clamp(cfg.jump_delta, 3.0 * cfg.jump_delta),
-                    mean_holder: stats::median(&self.baseline_h)?,
-                    holder_delta: (cfg.mad_multiplier * h_mad)
-                        .clamp(cfg.holder_drop, 2.0 * cfg.holder_drop),
-                });
-            }
-            return Ok(None);
-        }
-        let baseline = self.baseline.expect("set above");
+        step.point = self.dimension.push(h)?;
+        let Some(point) = step.point else {
+            return Ok(step);
+        };
+        let (d, mean_h) = (point.dimension, point.mean);
+        let Some([dim, hold]) = self.discipline.admit([d, mean_h])? else {
+            return Ok(step);
+        };
 
         // Anomaly rules.
-        let dim_jump = d > baseline.dimension + baseline.dimension_delta;
-        let mut collapse_level = baseline.mean_holder - baseline.holder_delta;
-        if baseline.mean_holder > cfg.holder_drop {
+        let cfg = &self.config;
+        let dim_jump = d > dim.median + dim.delta;
+        let mut collapse_level = hold.median - hold.delta;
+        if hold.median > cfg.holder_drop {
             // Only meaningful when there is regularity to collapse from;
             // a noise-like baseline (h ≈ 0) has no lower floor.
-            collapse_level = collapse_level.max(cfg.holder_floor_fraction * baseline.mean_holder);
+            collapse_level = collapse_level.max(cfg.holder_floor_fraction * hold.median);
         }
         let collapse = mean_h < collapse_level;
         let anomalous = match cfg.rule {
@@ -572,21 +628,8 @@ impl HolderDimensionDetector {
             JumpRule::HolderCollapse => collapse,
             JumpRule::Either => dim_jump || collapse,
         };
-        if !anomalous {
-            self.consecutive_anomalies = 0;
-            return Ok(None);
-        }
-        self.consecutive_anomalies += 1;
-        if self.alarmed {
-            return Ok(None);
-        }
-        let level = if self.consecutive_anomalies >= cfg.confirm_windows {
-            self.alarmed = true;
-            AlertLevel::Alarm
-        } else if self.consecutive_anomalies == 1 {
-            AlertLevel::Warning
-        } else {
-            return Ok(None);
+        let Some(level) = self.discipline.judge(anomalous) else {
+            return Ok(step);
         };
         let trigger = match (dim_jump, collapse) {
             (true, true) => Trigger::Both,
@@ -595,106 +638,97 @@ impl HolderDimensionDetector {
             (false, false) => unreachable!("anomalous implies a trigger"),
         };
         let alert = Alert {
-            sample_index: raw_index,
+            sample_index: (self.samples_seen - 1) as usize,
             level,
             trigger,
             dimension: d,
             mean_holder: mean_h,
-            dimension_baseline: baseline.dimension,
-            holder_baseline: baseline.mean_holder,
+            dimension_baseline: dim.median,
+            holder_baseline: hold.median,
         };
-        self.alerts.push(alert);
-        Ok(Some(alert))
-    }
-
-    /// All alerts so far, in order.
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+        self.last_alert = Some(alert);
+        step.alert = Some(alert);
+        Ok(step)
     }
 
     /// Whether the full alarm has fired.
     pub fn is_alarmed(&self) -> bool {
-        self.alarmed
+        self.discipline.is_alarmed()
     }
 
     /// The established baseline, once enough windows exist.
     pub fn baseline(&self) -> Option<Baseline> {
-        self.baseline
+        self.discipline.bands().map(|[dim, hold]| Baseline {
+            dimension: dim.median,
+            dimension_delta: dim.delta,
+            mean_holder: hold.median,
+            holder_delta: hold.delta,
+        })
     }
 
-    /// The Hölder trace computed so far (delayed by `holder_radius`
-    /// samples relative to the raw input).
-    pub fn holder_trace(&self) -> &[f64] {
-        &self.holder_trace
+    /// The most recent alert, if any.
+    pub fn last_alert(&self) -> Option<Alert> {
+        self.last_alert
     }
 
-    /// The dimension trace: `(raw-sample index, dimension)` pairs.
-    pub fn dimension_trace(&self) -> &[(usize, f64)] {
-        &self.dimension_trace
+    /// Samples consumed since construction or the last reset.
+    pub fn samples_seen(&self) -> u64 {
+        self.samples_seen
     }
 
-    /// The windowed mean-Hölder trace: `(raw-sample index, mean h)` pairs.
-    pub fn mean_holder_trace(&self) -> &[(usize, f64)] {
-        &self.mean_holder_trace
+    /// Upper bound on retained samples across all internal windows — the
+    /// detector's memory is O(this), independent of stream length.
+    pub fn memory_bound_samples(&self) -> usize {
+        2 * self.config.holder_radius
+            + 1
+            + self.config.dimension_window
+            + self.config.baseline_windows
     }
 
-    /// Number of raw samples consumed (including any dropped by
-    /// [`HolderDimensionDetector::shrink_history`]).
-    pub fn len(&self) -> usize {
-        self.samples_seen()
-    }
-
-    /// Whether no samples have been consumed yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples_seen() == 0
-    }
-
-    /// Total raw samples consumed over the detector's lifetime.
-    pub fn samples_seen(&self) -> usize {
-        self.samples_dropped + self.samples.len()
-    }
-
-    /// Drops buffered history that future computations no longer need,
-    /// bounding the detector's memory for indefinite streaming. Alerts and
-    /// the dimension trace are kept (they are small — one entry per
-    /// stride); the raw-sample and Hölder buffers are truncated to the
-    /// trailing windows the next push reads, so
-    /// [`HolderDimensionDetector::holder_trace`] subsequently returns only
-    /// the retained suffix.
-    ///
-    /// Calling this at any point does not change any future alert or
-    /// trace value.
-    pub fn shrink_history(&mut self) {
-        let keep_samples = 2 * self.config.holder_radius + 1;
-        if self.samples.len() > keep_samples {
-            let drop = self.samples.len() - keep_samples;
-            self.samples.drain(..drop);
-            self.samples_dropped += drop;
-        }
-        let keep_holder = self.config.dimension_window;
-        if self.holder_trace.len() > keep_holder {
-            let drop = self.holder_trace.len() - keep_holder;
-            self.holder_trace.drain(..drop);
-            self.holder_dropped += drop;
-        }
-    }
-
-    /// Resets all state (e.g. after a rejuvenation or reboot). The
-    /// configuration is retained.
+    /// Clears all state (after a rejuvenation, reboot or feed gap); the
+    /// configuration and lifetime emission counters are retained.
     pub fn reset(&mut self) {
-        self.samples.clear();
-        self.samples_dropped = 0;
-        self.holder_trace.clear();
-        self.holder_dropped = 0;
-        self.dimension_trace.clear();
-        self.mean_holder_trace.clear();
-        self.windows_seen = 0;
-        self.baseline_dim.clear();
-        self.baseline_h.clear();
-        self.baseline = None;
-        self.consecutive_anomalies = 0;
-        self.alerts.clear();
-        self.alarmed = false;
+        self.holder.reset();
+        self.dimension.reset();
+        self.samples_seen = 0;
+        self.discipline.reset();
+        self.last_alert = None;
+    }
+
+    /// Serializes all dynamic state (kernels, warmup/baseline progress,
+    /// confirmation run, latch and emission counters) via
+    /// [`aging_timeseries::persist`]; the config is re-supplied at
+    /// construction.
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        self.holder.encode_state(out);
+        self.dimension.encode_state(out);
+        persist::put_u64(out, self.samples_seen);
+        self.discipline.encode_state(out);
+        persist::put_bool(out, self.last_alert.is_some());
+        if let Some(alert) = &self.last_alert {
+            alert.encode(out);
+        }
+    }
+
+    /// Restores state written by
+    /// [`HolderDimensionDetector::encode_state`] into a detector
+    /// constructed with the same config.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on truncation, a window
+    /// mismatch or corrupt enum codes.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        self.holder.restore_state(r)?;
+        self.dimension.restore_state(r)?;
+        self.samples_seen = r.u64()?;
+        self.discipline.restore_state(r)?;
+        self.last_alert = if r.bool()? {
+            Some(Alert::decode(r)?)
+        } else {
+            None
+        };
+        Ok(())
     }
 }
 
@@ -724,7 +758,8 @@ impl OfflineAnalysis {
     }
 }
 
-/// Runs the detector over a complete series in one call.
+/// Runs the detector over a complete series in one call, collecting the
+/// Hölder, dimension and mean-Hölder traces along the way.
 ///
 /// # Errors
 ///
@@ -732,22 +767,32 @@ impl OfflineAnalysis {
 /// rejected.
 pub fn analyze(values: &[f64], config: &DetectorConfig) -> Result<OfflineAnalysis> {
     let mut det = HolderDimensionDetector::new(config.clone())?;
-    for &v in values {
-        det.push(v)?;
+    let mut analysis = OfflineAnalysis {
+        holder_trace: Vec::with_capacity(values.len()),
+        dimension_trace: Vec::new(),
+        mean_holder_trace: Vec::new(),
+        alerts: Vec::new(),
+        baseline: None,
+    };
+    for (i, &v) in values.iter().enumerate() {
+        let step = det.step(v)?;
+        analysis.holder_trace.extend(step.holder);
+        if let Some(point) = step.point {
+            analysis.dimension_trace.push((i, point.dimension));
+            analysis.mean_holder_trace.push((i, point.mean));
+        }
+        analysis.alerts.extend(step.alert);
     }
-    Ok(OfflineAnalysis {
-        holder_trace: det.holder_trace,
-        dimension_trace: det.dimension_trace,
-        mean_holder_trace: det.mean_holder_trace,
-        alerts: det.alerts,
-        baseline: det.baseline,
-    })
+    analysis.baseline = det.baseline();
+    Ok(analysis)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aging_fractal::generate;
+    use aging_fractal::holder::holder_trace;
+    use aging_timeseries::stats;
 
     /// Smooth persistent first half, rough noise second half: the
     /// archetypal regularity collapse.
@@ -772,6 +817,7 @@ mod tests {
         assert!(bad(|c| c.max_h = 0.0));
         assert!(bad(|c| c.dimension_window = 4));
         assert!(bad(|c| c.dimension_stride = 0));
+        assert!(bad(|c| c.dimension_stride = 129));
         assert!(bad(|c| c.baseline_windows = 1));
         assert!(bad(|c| c.jump_delta = 0.0));
         assert!(bad(|c| c.mad_multiplier = f64::NAN));
@@ -792,7 +838,7 @@ mod tests {
             .max_h(1.5)
             .dimension_window(96)
             .dimension_stride(8)
-            .dimension_method(DimensionMethod::Variation)
+            .dimension_method(WindowDimension::Variation)
             .skip_windows(1)
             .baseline_windows(6)
             .jump_delta(0.15)
@@ -808,7 +854,7 @@ mod tests {
         assert_eq!(custom.max_h, 1.5);
         assert_eq!(custom.dimension_window, 96);
         assert_eq!(custom.dimension_stride, 8);
-        assert_eq!(custom.dimension_method, DimensionMethod::Variation);
+        assert_eq!(custom.dimension_method, WindowDimension::Variation);
         assert_eq!(custom.skip_windows, 1);
         assert_eq!(custom.baseline_windows, 6);
         assert_eq!(custom.jump_delta, 0.15);
@@ -908,62 +954,190 @@ mod tests {
         assert!(analysis.alerts[w].sample_index < analysis.alerts[a].sample_index);
     }
 
-    #[test]
-    fn streaming_matches_offline() {
-        let x = generate::fbm(2000, 0.6, 7).unwrap();
-        let config = DetectorConfig::default();
-        let offline = analyze(&x, &config).unwrap();
-        let mut det = HolderDimensionDetector::new(config).unwrap();
-        for &v in &x {
-            det.push(v).unwrap();
+    /// The decision rule restated over whole batch traces: skip, freeze
+    /// the median/MAD bands, judge, confirm, latch.
+    fn reference_alerts(
+        config: &DetectorConfig,
+        windows: &[(usize, f64, f64)],
+    ) -> (Vec<Alert>, Option<Baseline>) {
+        let skip = config.skip_windows;
+        let formed = skip + config.baseline_windows;
+        if windows.len() < formed {
+            return (Vec::new(), None);
         }
-        assert_eq!(det.holder_trace(), offline.holder_trace.as_slice());
-        assert_eq!(det.dimension_trace(), offline.dimension_trace.as_slice());
-        assert_eq!(det.alerts(), offline.alerts.as_slice());
+        let dims: Vec<f64> = windows[skip..formed].iter().map(|w| w.1).collect();
+        let means: Vec<f64> = windows[skip..formed].iter().map(|w| w.2).collect();
+        let band = |v: &[f64], floor: f64, cap: f64| {
+            let delta = (config.mad_multiplier * stats::mad(v).unwrap()).clamp(floor, cap * floor);
+            (stats::median(v).unwrap(), delta)
+        };
+        let (dim_median, dim_delta) = band(&dims, config.jump_delta, 3.0);
+        let (h_median, h_delta) = band(&means, config.holder_drop, 2.0);
+        let mut alerts = Vec::new();
+        let mut run = 0;
+        let mut alarmed = false;
+        for &(index, d, h) in &windows[formed..] {
+            let jump = d > dim_median + dim_delta;
+            let mut level = h_median - h_delta;
+            if h_median > config.holder_drop {
+                level = level.max(config.holder_floor_fraction * h_median);
+            }
+            let collapse = h < level;
+            let anomalous = match config.rule {
+                JumpRule::DimensionJump => jump,
+                JumpRule::HolderCollapse => collapse,
+                JumpRule::Either => jump || collapse,
+            };
+            run = if anomalous { run + 1 } else { 0 };
+            let level = match run {
+                0 => continue,
+                _ if alarmed => continue,
+                r if r >= config.confirm_windows => AlertLevel::Alarm,
+                1 => AlertLevel::Warning,
+                _ => continue,
+            };
+            alarmed |= level == AlertLevel::Alarm;
+            alerts.push(Alert {
+                sample_index: index,
+                level,
+                trigger: match (jump, collapse) {
+                    (true, true) => Trigger::Both,
+                    (true, false) => Trigger::DimensionJump,
+                    _ => Trigger::HolderCollapse,
+                },
+                dimension: d,
+                mean_holder: h,
+                dimension_baseline: dim_median,
+                holder_baseline: h_median,
+            });
+        }
+        let baseline = Baseline {
+            dimension: dim_median,
+            dimension_delta: dim_delta,
+            mean_holder: h_median,
+            holder_delta: h_delta,
+        };
+        (alerts, Some(baseline))
+    }
+
+    #[test]
+    fn analysis_matches_the_batch_kernels_and_the_rule() {
+        let cases = [
+            (collapse_signal(3000, 12), DetectorConfig::default()),
+            (
+                collapse_signal(2400, 13),
+                DetectorConfig {
+                    dimension_method: WindowDimension::Variation,
+                    rule: JumpRule::HolderCollapse,
+                    confirm_windows: 2,
+                    ..DetectorConfig::default()
+                },
+            ),
+            (
+                generate::fbm(2000, 0.6, 7).unwrap(),
+                DetectorConfig::default(),
+            ),
+        ];
+        let mut alarmed = 0;
+        for (x, config) in &cases {
+            let analysis = analyze(x, config).unwrap();
+
+            // The Hölder trace is the batch trace's interior, bit for bit.
+            let batch = holder_trace(x, &config.holder_estimator()).unwrap();
+            let r = config.holder_radius;
+            assert_eq!(analysis.holder_trace.len(), x.len() - 2 * r);
+            for (k, h) in analysis.holder_trace.iter().enumerate() {
+                assert_eq!(h.to_bits(), batch[k + r].to_bits(), "holder point {k}");
+            }
+
+            // Each dimension window is the batch estimator on the window
+            // of the trace that ends at the emitting sample.
+            let mut windows = Vec::new();
+            for (&(i, d), &(j, h)) in analysis
+                .dimension_trace
+                .iter()
+                .zip(&analysis.mean_holder_trace)
+            {
+                assert_eq!(i, j);
+                let end = i + 1 - 2 * r;
+                let w = &analysis.holder_trace[end - config.dimension_window..end];
+                let want = config.dimension_method.estimate(w).unwrap();
+                assert_eq!(d.to_bits(), want.to_bits(), "dimension at {i}");
+                assert_eq!(h.to_bits(), stats::mean(w).unwrap().to_bits());
+                windows.push((i, d, h));
+            }
+            let expected_windows = (analysis.holder_trace.len() - config.dimension_window)
+                / config.dimension_stride
+                + 1;
+            assert_eq!(windows.len(), expected_windows);
+
+            let (alerts, baseline) = reference_alerts(config, &windows);
+            assert_eq!(analysis.alerts, alerts);
+            assert_eq!(analysis.baseline, baseline);
+            alarmed += usize::from(analysis.first_alarm().is_some());
+
+            // Streaming pushes see the same alerts.
+            let mut det = HolderDimensionDetector::new(config.clone()).unwrap();
+            let pushed: Vec<Alert> = x.iter().filter_map(|&v| det.push(v).unwrap()).collect();
+            assert_eq!(pushed, analysis.alerts);
+            assert_eq!(det.last_alert(), analysis.alerts.last().copied());
+        }
+        assert!(alarmed >= 2, "the collapse signals must alarm");
     }
 
     #[test]
     fn alarm_latches_until_reset() {
         let x = collapse_signal(4000, 8);
         let mut det = HolderDimensionDetector::new(DetectorConfig::default()).unwrap();
+        let mut alarm_count = 0;
         for &v in &x {
-            det.push(v).unwrap();
+            if let Some(a) = det.push(v).unwrap() {
+                alarm_count += usize::from(a.level == AlertLevel::Alarm);
+            }
         }
         assert!(det.is_alarmed());
-        let alarm_count = det
-            .alerts()
-            .iter()
-            .filter(|a| a.level == AlertLevel::Alarm)
-            .count();
         assert_eq!(alarm_count, 1, "alarm must fire exactly once");
 
         det.reset();
         assert!(!det.is_alarmed());
-        assert!(det.is_empty());
-        assert!(det.alerts().is_empty());
+        assert_eq!(det.samples_seen(), 0);
+        assert_eq!(det.last_alert(), None);
         assert_eq!(det.baseline(), None);
     }
 
     #[test]
-    fn shrink_history_preserves_behaviour_and_bounds_memory() {
-        let x = collapse_signal(4000, 20);
+    fn persist_round_trip_mid_stream_and_bounded_memory() {
         let config = DetectorConfig::default();
-        let mut full = HolderDimensionDetector::new(config.clone()).unwrap();
-        let mut shrunk = HolderDimensionDetector::new(config.clone()).unwrap();
-        for (i, &v) in x.iter().enumerate() {
-            full.push(v).unwrap();
-            shrunk.push(v).unwrap();
-            if i % 37 == 0 {
-                shrunk.shrink_history();
-            }
+        let x = collapse_signal(4000, 20);
+        let mut live = HolderDimensionDetector::new(config.clone()).unwrap();
+        for &v in &x[..2100] {
+            live.push(v).unwrap();
         }
-        assert_eq!(full.alerts(), shrunk.alerts());
-        assert_eq!(full.dimension_trace(), shrunk.dimension_trace());
-        assert_eq!(full.len(), shrunk.len());
-        // Memory genuinely bounded.
-        shrunk.shrink_history();
-        assert!(shrunk.holder_trace().len() <= config.dimension_window);
-        assert!(full.holder_trace().len() > config.dimension_window);
+        let mut blob = Vec::new();
+        live.encode_state(&mut blob);
+        let mut restored = HolderDimensionDetector::new(config.clone()).unwrap();
+        let mut r = Reader::new(&blob);
+        restored.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        for &v in &x[2100..] {
+            assert_eq!(live.push(v).unwrap(), restored.push(v).unwrap());
+        }
+        assert!(live.is_alarmed());
+        assert_eq!(live.baseline(), restored.baseline());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        live.encode_state(&mut a);
+        restored.encode_state(&mut b);
+        assert_eq!(a, b);
+        // The rings and the frozen bands are all that is kept.
+        assert_eq!(
+            live.memory_bound_samples(),
+            2 * config.holder_radius + 1 + config.dimension_window + config.baseline_windows
+        );
+        assert!(a.len() < 16 * live.memory_bound_samples());
+        // A truncated blob is rejected.
+        assert!(restored
+            .restore_state(&mut Reader::new(&blob[..blob.len() - 1]))
+            .is_err());
     }
 
     #[test]
@@ -971,6 +1145,7 @@ mod tests {
         let mut det = HolderDimensionDetector::new(DetectorConfig::default()).unwrap();
         det.push(1.0).unwrap();
         assert!(det.push(f64::NAN).is_err());
+        assert_eq!(det.samples_seen(), 1, "a rejected sample is not consumed");
     }
 
     #[test]
@@ -1001,7 +1176,7 @@ mod tests {
     #[test]
     fn dimension_methods_both_work() {
         let x = generate::fgn(2000, 0.5, 10).unwrap();
-        for method in [DimensionMethod::BoxCounting, DimensionMethod::Variation] {
+        for method in [WindowDimension::BoxCounting, WindowDimension::Variation] {
             let config = DetectorConfig {
                 dimension_method: method,
                 ..DetectorConfig::default()
@@ -1031,5 +1206,37 @@ mod tests {
         assert!(b.dimension_delta >= 0.2); // at least jump_delta
         assert!((1.0..=2.0).contains(&b.dimension));
         assert!((-1.0..=2.0).contains(&b.mean_holder));
+    }
+
+    #[test]
+    fn alert_codes_and_codec_round_trip() {
+        for level in [AlertLevel::Warning, AlertLevel::Alarm] {
+            assert_eq!(AlertLevel::from_code(level.code()).unwrap(), level);
+        }
+        for trigger in [
+            Trigger::DimensionJump,
+            Trigger::HolderCollapse,
+            Trigger::Both,
+        ] {
+            assert_eq!(Trigger::from_code(trigger.code()).unwrap(), trigger);
+        }
+        assert!(AlertLevel::from_code(2).is_err());
+        assert!(Trigger::from_code(3).is_err());
+        let alert = Alert {
+            sample_index: 1234,
+            level: AlertLevel::Alarm,
+            trigger: Trigger::Both,
+            dimension: 1.5,
+            mean_holder: -0.0,
+            dimension_baseline: 1.25,
+            holder_baseline: 0.75,
+        };
+        let mut bytes = Vec::new();
+        alert.encode(&mut bytes);
+        assert_eq!(bytes.len(), Alert::ENCODED_LEN);
+        assert_eq!(&bytes[..10], &[210, 4, 0, 0, 0, 0, 0, 0, 1, 2]);
+        let back = Alert::decode(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back, alert);
+        assert_eq!(back.mean_holder.to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -9,6 +9,8 @@
 //!
 //! - [`detector`] — the streaming Hölder-dimension detector (the paper's
 //!   method: Hölder trace → windowed fractal dimension → two-jump alarm);
+//! - [`discipline`] — the warmup → median/MAD baseline → confirm → latched
+//!   alarm rule shared by the windowed detectors;
 //! - [`baseline`] — Mann–Kendall/Sen-slope, OLS and threshold predictors
 //!   behind the common [`baseline::AgingPredictor`] trait;
 //! - [`eval`] — segment-based alarm scoring (lead time, misses, false
@@ -45,6 +47,7 @@
 
 pub mod baseline;
 pub mod detector;
+pub mod discipline;
 pub mod eval;
 pub mod fusion;
 pub mod progression;

@@ -7,11 +7,12 @@
 //! by [`RingBuffer`]s, so an indefinitely long counter stream is analysed
 //! in O(window) work and O(window) memory per sample.
 //!
-//! These are the kernels underneath `aging-stream`'s online detectors; the
-//! arithmetic is byte-for-byte the batch estimators' (each emission copies
-//! its ring window into a scratch buffer and calls the batch routine), so
-//! streaming results are identical to re-running the batch code on the
-//! same trailing window — only the bookkeeping is incremental.
+//! These are the kernels underneath the Hölder-dimension detector
+//! (`aging_core::detector`); the arithmetic is byte-for-byte the batch
+//! estimators' (each emission copies its ring window into a scratch buffer
+//! and calls the batch routine), so streaming results are identical to
+//! re-running the batch code on the same trailing window — only the
+//! bookkeeping is incremental.
 //!
 //! # Examples
 //!
@@ -118,27 +119,6 @@ impl StreamingHolder {
         }
         self.ring.copy_to(&mut self.scratch);
         holder::increment_exponent(&self.scratch, self.max_lag, self.max_h).map(Some)
-    }
-
-    /// Feeds a column of samples, appending one exponent per emitting
-    /// sample to `out` (cleared first). Results are bit-identical to
-    /// calling [`StreamingHolder::push`] per element and collecting the
-    /// `Some` values — the slice form exists so column ingestion crosses
-    /// the estimator boundary once per batch instead of once per sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NonFinite`] at the first NaN/infinite input;
-    /// samples before the offending one remain pushed and their exponents
-    /// remain in `out`.
-    pub fn push_slice(&mut self, values: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        out.clear();
-        for &value in values {
-            if let Some(h) = self.push(value)? {
-                out.push(h);
-            }
-        }
-        Ok(())
     }
 
     /// Clears the sample window (e.g. after a reboot).
@@ -291,26 +271,6 @@ impl StreamingDimension {
             dimension,
             mean,
         }))
-    }
-
-    /// Feeds a column of samples, appending one [`DimensionPoint`] per
-    /// emitting sample to `out` (cleared first). Results are bit-identical
-    /// to calling [`StreamingDimension::push`] per element and collecting
-    /// the `Some` values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NonFinite`] at the first NaN/infinite input and
-    /// propagates estimator failures; samples before the offending one
-    /// remain pushed and their points remain in `out`.
-    pub fn push_slice(&mut self, values: &[f64], out: &mut Vec<DimensionPoint>) -> Result<()> {
-        out.clear();
-        for &value in values {
-            if let Some(point) = self.push(value)? {
-                out.push(point);
-            }
-        }
-        Ok(())
     }
 
     /// Clears the window and the emission phase (e.g. after a reboot).

@@ -56,10 +56,11 @@
 //! binary length prefix it would be 0x54584554 ≈ 1.4 GB, far above any
 //! permitted `max_frame`.
 
-use aging_core::detector::{Alert, AlertLevel, Trigger};
+use aging_core::detector::{Alert, AlertLevel};
 use aging_memsim::Counter;
 use aging_stream::detector::AlertDetail;
 use aging_stream::supervisor::AlarmKind;
+use aging_timeseries::persist;
 
 /// Baseline protocol version: record batches only.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -382,38 +383,6 @@ pub fn counter_from_code(code: u8) -> Option<Counter> {
     Counter::ALL.get(usize::from(code)).copied()
 }
 
-fn level_code(level: AlertLevel) -> u8 {
-    match level {
-        AlertLevel::Warning => 0,
-        AlertLevel::Alarm => 1,
-    }
-}
-
-fn level_from_code(code: u8) -> Option<AlertLevel> {
-    match code {
-        0 => Some(AlertLevel::Warning),
-        1 => Some(AlertLevel::Alarm),
-        _ => None,
-    }
-}
-
-fn trigger_code(trigger: Trigger) -> u8 {
-    match trigger {
-        Trigger::DimensionJump => 0,
-        Trigger::HolderCollapse => 1,
-        Trigger::Both => 2,
-    }
-}
-
-fn trigger_from_code(code: u8) -> Option<Trigger> {
-    match code {
-        0 => Some(Trigger::DimensionJump),
-        1 => Some(Trigger::HolderCollapse),
-        2 => Some(Trigger::Both),
-        _ => None,
-    }
-}
-
 fn detector_code(name: &str) -> u8 {
     match name {
         "holder-dimension" => 0,
@@ -597,7 +566,7 @@ const DETAIL_SPECTRUM: u8 = 2;
 pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(&event.machine_id.to_le_bytes());
     out.extend_from_slice(&event.time_secs.to_bits().to_le_bytes());
-    out.push(level_code(event.level));
+    out.push(event.level.code());
     match &event.kind {
         AlarmKind::Detector {
             counter,
@@ -610,17 +579,7 @@ pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
             match detail {
                 AlertDetail::Holder(alert) => {
                     out.push(DETAIL_HOLDER);
-                    out.extend_from_slice(&(alert.sample_index as u64).to_le_bytes());
-                    out.push(level_code(alert.level));
-                    out.push(trigger_code(alert.trigger));
-                    for v in [
-                        alert.dimension,
-                        alert.mean_holder,
-                        alert.dimension_baseline,
-                        alert.holder_baseline,
-                    ] {
-                        out.extend_from_slice(&v.to_bits().to_le_bytes());
-                    }
+                    alert.encode(out);
                 }
                 AlertDetail::Trend { eta_secs } => {
                     out.push(DETAIL_TREND);
@@ -682,29 +641,15 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<ServeEvent>, String> {
 pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<ServeEvent, String> {
     let machine_id = r.u64()?;
     let time_secs = r.f64()?;
-    let level = level_from_code(r.u8()?).ok_or("bad level code")?;
+    let level = AlertLevel::from_code(r.u8()?).map_err(|e| e.to_string())?;
     let kind = match r.u8()? {
         EVENT_DETECTOR => {
             let counter = counter_from_code(r.u8()?).ok_or("bad counter code")?;
             let detector = detector_from_code(r.u8()?).ok_or("bad detector code")?;
             let detail = match r.u8()? {
                 DETAIL_HOLDER => {
-                    let sample_index = r.u64()? as usize;
-                    let alevel = level_from_code(r.u8()?).ok_or("bad alert level")?;
-                    let trigger = trigger_from_code(r.u8()?).ok_or("bad trigger code")?;
-                    let dimension = r.f64()?;
-                    let mean_holder = r.f64()?;
-                    let dimension_baseline = r.f64()?;
-                    let holder_baseline = r.f64()?;
-                    AlertDetail::Holder(Alert {
-                        sample_index,
-                        level: alevel,
-                        trigger,
-                        dimension,
-                        mean_holder,
-                        dimension_baseline,
-                        holder_baseline,
-                    })
+                    let mut bytes = persist::Reader::new(r.take(Alert::ENCODED_LEN)?);
+                    AlertDetail::Holder(Alert::decode(&mut bytes).map_err(|e| e.to_string())?)
                 }
                 DETAIL_TREND => {
                     let has_eta = r.u8()? != 0;
@@ -1194,6 +1139,7 @@ pub fn encode_columnar_frame_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aging_core::detector::Trigger;
 
     #[test]
     fn crc32_known_vectors() {

@@ -19,9 +19,10 @@
 //!    the per-source [`gate::SampleGate`] that repairs real-world defects
 //!    (NaN, out-of-order timestamps, gaps) with documented policies.
 //! 3. **Detection** ([`detector`]): [`detector::StreamingDetector`] — the
-//!    paper's Hölder-dimension detector and the Mann–Kendall baseline as
-//!    bounded-memory online detectors, alarm-for-alarm identical to the
-//!    batch [`aging_core::detector::HolderDimensionDetector`].
+//!    paper's Hölder-dimension detector
+//!    ([`aging_core::detector::HolderDimensionDetector`]), the
+//!    Mann–Kendall baseline and the Δα spectrum-width detector, each a
+//!    bounded-memory online detector behind one wrapper.
 //! 4. **Fleet supervision & observability** ([`supervisor`],
 //!    [`telemetry`]): a thread-per-shard supervisor multiplexing a fleet
 //!    through streaming detectors with bounded queues and explicit drop

@@ -317,20 +317,21 @@ impl MachinePipeline {
     /// Feeds one column — `counter` with parallel `times`/`values` — on
     /// the incremental path. State and emitted events are bit-identical
     /// to calling [`ingest`](MachinePipeline::ingest) once per
-    /// `(times[k], values[k])` pair, in order; only telemetry differs
+    /// `(times[k], values[k])` pair, in order, for every detector family
+    /// and also when a detector fails mid-column; only telemetry differs
     /// (detector latency is recorded once per gate-accepted run instead
     /// of once per sample).
     ///
-    /// When every enabled stream monitoring `counter` runs a trend-family
-    /// detector, the column takes a slice-driven fast path: tick
-    /// boundaries are precomputed, each stream's gate splits the column
-    /// into accepted runs, runs go to the detector through
+    /// Tick boundaries are precomputed, each stream's gate splits the
+    /// column into accepted runs, runs go to the detector through
     /// [`StreamingDetector::push_slice`], and the deferred per-tick
     /// fusion votes are replayed afterwards from the recorded alarm-latch
-    /// transitions (a trend alarm latches exactly when its Alarm alert is
-    /// emitted, and only a gate-triggered reset clears it, so the vote
-    /// count at every boundary is reconstructible). Other detector
-    /// families fall back to the per-sample loop.
+    /// transitions: every family latches its alarm exactly when it emits
+    /// its Alarm alert, and only a gate-triggered reset clears it, so the
+    /// vote count at every boundary is reconstructible. A detector that
+    /// fails stops its stream at the failing sample, as the per-sample
+    /// path does: the alerts before that sample are kept, and the gate is
+    /// rewound to the column start and replayed through that sample.
     ///
     /// Extra `times` or `values` beyond the shorter slice are ignored.
     pub fn ingest_column(
@@ -343,25 +344,10 @@ impl MachinePipeline {
         let n = times.len().min(values.len());
         let mut scratch = std::mem::take(&mut self.column_scratch);
         scratch.matching.clear();
-        let mut fast = true;
         for (i, cs) in self.streams.iter().enumerate() {
             if cs.counter == counter {
                 scratch.matching.push(i);
-                if !cs.disabled && !cs.detector.is_trend_family() {
-                    fast = false;
-                }
             }
-        }
-        if !fast {
-            self.column_scratch = scratch;
-            for k in 0..n {
-                let sample = StreamSample {
-                    time_secs: times[k],
-                    value: values[k],
-                };
-                self.ingest(counter, sample, out);
-            }
-            return;
         }
 
         // Tick clock pre-pass: identical decisions to the scalar path —
@@ -406,6 +392,7 @@ impl MachinePipeline {
             if cs.disabled {
                 continue;
             }
+            let gate_at_start = cs.gate.clone();
             scratch.accepted.clear();
             scratch.offsets.clear();
             scratch.runs.clear();
@@ -440,9 +427,6 @@ impl MachinePipeline {
             }
 
             for &(start, len, reset) in &scratch.runs {
-                if cs.disabled {
-                    break;
-                }
                 if reset {
                     cs.detector.reset();
                     scratch
@@ -452,37 +436,39 @@ impl MachinePipeline {
                 let started = Instant::now();
                 let res = cs
                     .detector
-                    .push_slice(&scratch.accepted[start..start + len], &mut scratch.alerts);
+                    .push_run(&scratch.accepted[start..start + len], &mut scratch.alerts);
                 self.latency.record(started.elapsed());
-                match res {
-                    Ok(()) => {
-                        for (off_in_run, alert) in scratch.alerts.drain(..) {
-                            let off = scratch.offsets[start + off_in_run] as usize;
-                            if alert.level == AlertLevel::Alarm {
-                                scratch.latch.push((off, pos, true));
-                            }
-                            scratch.staged.push((
-                                off,
-                                1,
-                                si,
-                                PipelineEvent {
-                                    time_secs: times[off],
-                                    level: alert.level,
-                                    kind: AlarmKind::Detector {
-                                        counter: cs.counter,
-                                        detector: cs.detector_name,
-                                        detail: alert.detail,
-                                    },
-                                },
-                            ));
-                        }
+                for (off_in_run, alert) in scratch.alerts.drain(..) {
+                    let off = scratch.offsets[start + off_in_run] as usize;
+                    if alert.level == AlertLevel::Alarm {
+                        scratch.latch.push((off, pos, true));
                     }
-                    Err(_) => {
-                        // Unreachable for trend detectors on gate-accepted
-                        // samples; handled like the scalar path anyway.
-                        self.detector_errors += 1;
-                        cs.disabled = true;
+                    scratch.staged.push((
+                        off,
+                        1,
+                        si,
+                        PipelineEvent {
+                            time_secs: times[off],
+                            level: alert.level,
+                            kind: AlarmKind::Detector {
+                                counter: cs.counter,
+                                detector: cs.detector_name,
+                                detail: alert.detail,
+                            },
+                        },
+                    ));
+                }
+                if let Err((k, _)) = res {
+                    self.detector_errors += 1;
+                    cs.disabled = true;
+                    // The per-sample path gates up to and including the
+                    // failing sample, then skips the disabled stream.
+                    let failed = scratch.offsets[start + k] as usize;
+                    cs.gate = gate_at_start;
+                    for (&time_secs, &value) in times.iter().zip(values).take(failed + 1) {
+                        cs.gate.push(StreamSample { time_secs, value });
                     }
+                    break;
                 }
             }
         }
@@ -816,78 +802,170 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// Column ingestion must be a pure restructuring of the scalar loop:
-    /// same events (order included), same persisted pipeline state, for
-    /// any chunking of the same feed — including gate gaps (detector
-    /// resets), out-of-order drops, NaN values, and duplicate timestamps.
-    #[test]
-    fn ingest_column_matches_scalar_ingest_bitwise() {
-        let mut feed: Vec<(f64, f64)> = Vec::new();
-        let mut t = 0.0f64;
-        for i in 0..600u32 {
+    /// The perfbench paper stack: Hölder and trend on available bytes,
+    /// spectrum width on committed bytes.
+    fn paper_detectors() -> Vec<CounterDetector> {
+        let mut detectors = vec![CounterDetector {
+            counter: Counter::AvailableBytes,
+            spec: DetectorSpec::Holder(aging_core::detector::DetectorConfig::default()),
+        }];
+        detectors.extend(trend_detectors());
+        detectors.push(CounterDetector {
+            counter: Counter::CommittedBytes,
+            spec: DetectorSpec::Spectrum(crate::detector::SpectrumDetectorConfig::default()),
+        });
+        detectors
+    }
+
+    /// One tick: `(time, available bytes, committed bytes)`.
+    type Tick = (f64, f64, f64);
+
+    /// `n` ticks at the 5 s period with a hard gap at tick 150 (every
+    /// detector resets), an out-of-order tick, a NaN tick and a duplicate
+    /// tick. Available bytes decline and roughen after tick 1000;
+    /// committed bytes random-walk and turn bursty after tick 1100. From
+    /// `poison_from` on, committed bytes alternate ±1.7e308, which makes
+    /// the spectrum kernel fail at its next emission.
+    fn feed(n: u32, poison_from: Option<u32>) -> Vec<Tick> {
+        let mut state = 0x51ce_b00c_5eed_f00du64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut ticks: Vec<Tick> = Vec::new();
+        let (mut t, mut walk) = (0.0f64, 0.0f64);
+        for i in 0..n {
             if i == 150 {
-                t += 5000.0; // hard gap: AcceptAfterGap resets the detector
+                t += 5000.0; // hard gap: AcceptAfterGap resets the detectors
             }
-            let noise = ((i.wrapping_mul(2654435761) % 97) as f64 - 48.0) * 10.0;
-            feed.push((t, 1e6 - 350.0 * f64::from(i) + noise));
+            let x = f64::from(i);
+            let rough = if i > 1000 { 6000.0 } else { 120.0 };
+            let available = 1e6 - 350.0 * x + (x * 0.45).sin() * 2048.0 + rough * rand();
+            let u = rand();
+            walk += if i > 1100 && rand() < -0.42 {
+                u * 400.0
+            } else {
+                u * 8.0
+            };
+            let committed = match poison_from {
+                Some(p) if i >= p => 1.7e308 * if i % 2 == 0 { 1.0 } else { -1.0 },
+                _ => 5e8 + walk,
+            };
+            ticks.push((t, available, committed));
             if i == 80 {
-                feed.push((t - 25.0, 5.0)); // out-of-order: dropped
+                ticks.push((t - 25.0, 5.0, 5.0)); // out-of-order: dropped
             }
             if i == 90 {
-                feed.push((t, f64::NAN)); // non-finite value: dropped
+                ticks.push((t, f64::NAN, f64::NAN)); // non-finite value: dropped
             }
             if i == 100 {
-                feed.push((t, feed.last().unwrap().1)); // duplicate tick
+                let &(_, a, c) = ticks.last().unwrap();
+                ticks.push((t, a, c)); // duplicate tick
             }
             t += 5.0;
         }
-        for chunk in [1usize, 2, 7, 64, 600] {
-            let mut scalar =
-                MachinePipeline::new(&trend_detectors(), FusionRule::Any, gate()).unwrap();
-            let mut columnar =
-                MachinePipeline::new(&trend_detectors(), FusionRule::Any, gate()).unwrap();
-            let mut scalar_out = Vec::new();
-            let mut columnar_out = Vec::new();
-            let mut times = Vec::new();
-            let mut values = Vec::new();
-            for block in feed.chunks(chunk) {
-                for &(bt, bv) in block {
-                    scalar.ingest(
-                        Counter::AvailableBytes,
-                        StreamSample {
-                            time_secs: bt,
-                            value: bv,
-                        },
-                        &mut scalar_out,
-                    );
-                }
-                times.clear();
+        ticks
+    }
+
+    /// Gate, detector and disabled flag of every stream, plus the fused
+    /// latch, error count and watermark. Latency telemetry legitimately
+    /// differs (per-run vs per-sample stamps) and is left out.
+    fn comparable_state(p: &MachinePipeline) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for cs in &p.streams {
+            cs.gate.encode_state(&mut bytes);
+            cs.detector.encode_state(&mut bytes);
+            bytes.push(u8::from(cs.disabled));
+        }
+        bytes.push(u8::from(p.fused));
+        bytes.extend_from_slice(&p.detector_errors.to_le_bytes());
+        bytes.extend_from_slice(&p.completed_time.to_le_bytes());
+        bytes.push(u8::from(p.finished));
+        bytes
+    }
+
+    /// Feeds `ticks` in blocks of `chunk`, each block counter by counter,
+    /// once record by record through `ingest` and once column by column
+    /// through `ingest_column`; both runs must agree bit for bit. Returns
+    /// the scalar run's events and pipeline.
+    fn assert_column_parity(
+        detectors: &[CounterDetector],
+        ticks: &[Tick],
+        chunk: usize,
+    ) -> (Vec<PipelineEvent>, MachinePipeline) {
+        let counters = [Counter::AvailableBytes, Counter::CommittedBytes];
+        let mut scalar = MachinePipeline::new(detectors, FusionRule::Any, gate()).unwrap();
+        let mut columnar = MachinePipeline::new(detectors, FusionRule::Any, gate()).unwrap();
+        let mut scalar_out = Vec::new();
+        let mut columnar_out = Vec::new();
+        let mut values = Vec::new();
+        for block in ticks.chunks(chunk) {
+            let times: Vec<f64> = block.iter().map(|&(t, _, _)| t).collect();
+            for (c, &counter) in counters.iter().enumerate() {
                 values.clear();
-                times.extend(block.iter().map(|&(bt, _)| bt));
-                values.extend(block.iter().map(|&(_, bv)| bv));
-                columnar.ingest_column(Counter::AvailableBytes, &times, &values, &mut columnar_out);
-            }
-            scalar.finish(&mut scalar_out);
-            columnar.finish(&mut columnar_out);
-            assert_eq!(scalar_out, columnar_out, "events diverged at chunk={chunk}");
-            assert!(scalar.is_fused(), "scenario must alarm");
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            // Latency telemetry legitimately differs (per-run vs
-            // per-sample stamps); compare everything else via snapshots
-            // plus the full gate/detector state.
-            for (p, bytes) in [(&scalar, &mut a), (&columnar, &mut b)] {
-                for si in 0..p.stream_count() {
-                    p.streams[si].gate.encode_state(bytes);
-                    p.streams[si].detector.encode_state(bytes);
-                    bytes.push(u8::from(p.streams[si].disabled));
+                values.extend(block.iter().map(|&(_, a, b)| if c == 0 { a } else { b }));
+                for (&time_secs, &value) in times.iter().zip(&values) {
+                    scalar.ingest(counter, StreamSample { time_secs, value }, &mut scalar_out);
                 }
-                bytes.push(u8::from(p.fused));
-                bytes.extend_from_slice(&p.detector_errors.to_le_bytes());
-                bytes.extend_from_slice(&p.completed_time.to_le_bytes());
-                bytes.push(u8::from(p.finished));
+                columnar.ingest_column(counter, &times, &values, &mut columnar_out);
             }
-            assert_eq!(a, b, "state diverged at chunk={chunk}");
+        }
+        scalar.finish(&mut scalar_out);
+        columnar.finish(&mut columnar_out);
+        assert_eq!(scalar_out, columnar_out, "events diverged at chunk={chunk}");
+        assert_eq!(
+            scalar.detector_errors(),
+            columnar.detector_errors(),
+            "detector errors diverged at chunk={chunk}"
+        );
+        assert_eq!(
+            comparable_state(&scalar),
+            comparable_state(&columnar),
+            "state diverged at chunk={chunk}"
+        );
+        (scalar_out, scalar)
+    }
+
+    /// Alerts of the detector family `name` among `events`.
+    fn family_alerts(events: &[PipelineEvent], name: &str) -> usize {
+        events
+            .iter()
+            .filter(|e| matches!(e.kind, AlarmKind::Detector { detector, .. } if detector == name))
+            .count()
+    }
+
+    /// Column ingestion must be a pure restructuring of the scalar loop:
+    /// same events (order included), same persisted pipeline state, for
+    /// any chunking of the same feed — including gate gaps (detector
+    /// resets), out-of-order drops, NaN values, duplicate timestamps, and
+    /// a detector failing mid-column.
+    #[test]
+    fn ingest_column_matches_scalar_ingest_bitwise() {
+        let trend_feed: Vec<Tick> = feed(600, None)
+            .into_iter()
+            .map(|(t, a, _)| (t, a, f64::NAN))
+            .collect();
+        let clean = feed(1450, None);
+        let poisoned = feed(1450, Some(1350));
+        for (detectors, ticks, failing) in [
+            (trend_detectors(), &trend_feed, false),
+            (paper_detectors(), &clean, false),
+            (paper_detectors(), &poisoned, true),
+        ] {
+            for chunk in [1usize, 2, 7, 64, ticks.len()] {
+                let (events, pipeline) = assert_column_parity(&detectors, ticks, chunk);
+                assert!(pipeline.is_fused(), "scenario must alarm");
+                assert_eq!(pipeline.detector_errors(), u64::from(failing));
+                if detectors.len() == 3 {
+                    for name in ["holder-dimension", "mann-kendall-sen", "spectrum-width"] {
+                        assert!(family_alerts(&events, name) > 0, "{name} must alert");
+                    }
+                    // The spectrum stream fails only after its alerts.
+                    assert_eq!(pipeline.stream_disabled(2), failing);
+                }
+            }
         }
     }
 

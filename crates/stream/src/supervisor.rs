@@ -47,9 +47,7 @@ use aging_store::{Store, StoreConfig};
 use aging_timeseries::persist;
 use aging_timeseries::{Error, Result};
 
-use crate::detector::{
-    level_code, level_from_code, trigger_code, trigger_from_code, AlertDetail, StreamingDetector,
-};
+use crate::detector::{AlertDetail, StreamingDetector};
 use crate::gate::GateConfig;
 use crate::merge::{MergeKey, WatermarkMerger};
 use crate::pipeline::{MachinePipeline, PipelineEvent};
@@ -247,7 +245,7 @@ fn encode_alarm_event(event: &AlarmEvent, out: &mut Vec<u8>) {
     persist::put_u64(out, event.machine_index as u64);
     persist::put_str(out, &event.machine);
     persist::put_f64(out, event.time_secs);
-    persist::put_u8(out, level_code(event.level));
+    persist::put_u8(out, event.level.code());
     match &event.kind {
         AlarmKind::Detector {
             counter,
@@ -260,13 +258,7 @@ fn encode_alarm_event(event: &AlarmEvent, out: &mut Vec<u8>) {
             match detail {
                 AlertDetail::Holder(alert) => {
                     persist::put_u8(out, DETAIL_HOLDER);
-                    persist::put_usize(out, alert.sample_index);
-                    persist::put_u8(out, level_code(alert.level));
-                    persist::put_u8(out, trigger_code(alert.trigger));
-                    persist::put_f64(out, alert.dimension);
-                    persist::put_f64(out, alert.mean_holder);
-                    persist::put_f64(out, alert.dimension_baseline);
-                    persist::put_f64(out, alert.holder_baseline);
+                    alert.encode(out);
                 }
                 AlertDetail::Trend { eta_secs } => {
                     persist::put_u8(out, DETAIL_TREND);
@@ -302,21 +294,13 @@ fn decode_alarm_event(r: &mut persist::Reader<'_>) -> Result<AlarmEvent> {
     let machine_index = r.u64()? as usize;
     let machine = r.str_()?;
     let time_secs = r.f64()?;
-    let level = level_from_code(r.u8()?)?;
+    let level = AlertLevel::from_code(r.u8()?)?;
     let kind = match r.u8()? {
         EVENT_DETECTOR => {
             let counter = counter_from_byte(r.u8()?)?;
             let detector = detector_name(&r.str_()?)?;
             let detail = match r.u8()? {
-                DETAIL_HOLDER => AlertDetail::Holder(Alert {
-                    sample_index: r.usize_()?,
-                    level: level_from_code(r.u8()?)?,
-                    trigger: trigger_from_code(r.u8()?)?,
-                    dimension: r.f64()?,
-                    mean_holder: r.f64()?,
-                    dimension_baseline: r.f64()?,
-                    holder_baseline: r.f64()?,
-                }),
+                DETAIL_HOLDER => AlertDetail::Holder(Alert::decode(r)?),
                 DETAIL_TREND => AlertDetail::Trend {
                     eta_secs: r.opt_f64()?,
                 },

@@ -7,6 +7,11 @@
 //! - `MachinePipeline::ingest_column` on a trend-family detector (the
 //!   e14 columnar serving path), including the sorted-window updates and
 //!   the Mann–Kendall and Sen-slope refits,
+//! - `MachinePipeline::ingest_column` on the Hölder + trend stack over
+//!   one counter, every column through the slice path,
+//! - `HolderDimensionDetector::push` once its baseline has frozen,
+//!   emissions included — and the push that freezes it must free the
+//!   baseline formation buffers,
 //! - `StreamingHolder::push` including emissions,
 //! - `StreamingDimension::push` (both window methods) including
 //!   emissions,
@@ -20,21 +25,23 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use aging_core::baseline::TrendPredictorConfig;
+use aging_core::baseline::{AgingPredictor, SenSlopePredictor, TrendPredictorConfig};
+use aging_core::detector::{DetectorConfig, HolderDimensionDetector};
 use aging_core::fusion::FusionRule;
 use aging_fractal::spectrum::{SpectrumConfig, StreamingSpectrum};
 use aging_fractal::streaming::{StreamingDimension, StreamingHolder, WindowDimension};
 use aging_memsim::Counter;
 use aging_par::Pool;
-use aging_stream::detector::StreamingTrend;
 use aging_stream::pipeline::{CounterDetector, MachinePipeline, PipelineEvent};
 use aging_stream::{DetectorSpec, GateConfig};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Net heap bytes allocated by tracked code (allocations minus frees).
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     /// Counting is gated per thread so the libtest harness (which keeps
@@ -49,29 +56,32 @@ fn tracking() -> bool {
     TRACK.try_with(Cell::get).unwrap_or(false)
 }
 
+/// Charges one allocator call that changes the live heap by `delta` bytes.
+fn charge(calls: u64, delta: i64) {
+    if tracking() {
+        ALLOCATIONS.fetch_add(calls, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if tracking() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        charge(1, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if tracking() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        charge(1, layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if tracking() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        charge(1, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        charge(0, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -82,11 +92,22 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Runs `f` with this thread's allocations counted; returns how many
 /// allocator calls (alloc / alloc_zeroed / realloc) it performed.
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (calls, _, out) = counted_bytes(f);
+    (calls, out)
+}
+
+/// [`counted`], also returning the net change of the live heap in bytes.
+fn counted_bytes<R>(f: impl FnOnce() -> R) -> (u64, i64, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let bytes_before = LIVE_BYTES.load(Ordering::Relaxed);
     TRACK.with(|t| t.set(true));
     let out = f();
     TRACK.with(|t| t.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (
+        ALLOCATIONS.load(Ordering::Relaxed) - before,
+        LIVE_BYTES.load(Ordering::Relaxed) - bytes_before,
+        out,
+    )
 }
 
 /// Deterministic rough noise in [-1, 1] (splitmix-style LCG) — enough
@@ -129,13 +150,7 @@ fn trend_pipeline_stays_allocation_free() {
     // ETA (~5e7 s) stays beyond the 1e6 s horizon and no alert is ever
     // pushed into `out`. The noise has ties and keeps the slopes varied.
     let wiggle = noise(64 * 24);
-    let column = |start: usize| -> (Vec<f64>, Vec<f64>) {
-        let times = (0..64).map(|k| 5.0 * (start + k) as f64).collect();
-        let values = (start..start + 64)
-            .map(|i| 1e9 - 100.0 * i as f64 + (wiggle[i] * 150.0).round())
-            .collect();
-        (times, values)
-    };
+    let column = |start: usize| decline_column(&wiggle, start);
 
     // Warmup: fill the 64-sample window and run many refits (every 4
     // samples), sizing the Sen-slope arena and the column scratch.
@@ -160,12 +175,112 @@ fn trend_pipeline_stays_allocation_free() {
 
     // The same values through a bare detector: an ETA proves the refits
     // above reached Sen's slope.
-    let mut trend = StreamingTrend::new(config).unwrap();
+    let mut trend = SenSlopePredictor::new(config).unwrap();
     for c in 0..fed / 64 + measured.len() {
         let (_, values) = column(64 * c);
         trend.push_slice(&values).unwrap();
     }
     assert!(trend.eta_secs().is_some(), "the Sen-slope path never ran");
+}
+
+/// The noisy slow decline of the trend case, as `(times, values)` for the
+/// 64 samples from `start`: Mann–Kendall finds a significant decrease, so
+/// every trend refit runs Sen's slope, yet the ETA (~5e7 s) stays beyond
+/// the 1e6 s horizon, and the regularity never changes.
+fn decline_column(wiggle: &[f64], start: usize) -> (Vec<f64>, Vec<f64>) {
+    let times = (0..64).map(|k| 5.0 * (start + k) as f64).collect();
+    let values = (start..start + 64)
+        .map(|i| 1e9 - 100.0 * i as f64 + (wiggle[i] * 150.0).round())
+        .collect();
+    (times, values)
+}
+
+/// The paper stack's Hölder and trend detectors on one counter: every
+/// column takes the slice path, which must stay allocation-free once the
+/// Hölder baseline has frozen and the refit arena is sized.
+fn holder_trend_pipeline_stays_allocation_free() {
+    let detectors = [
+        CounterDetector {
+            counter: Counter::AvailableBytes,
+            spec: DetectorSpec::Holder(DetectorConfig::default()),
+        },
+        CounterDetector {
+            counter: Counter::AvailableBytes,
+            spec: DetectorSpec::Trend(TrendPredictorConfig {
+                window: 120,
+                refit_every: 8,
+                alarm_horizon_secs: 1e6,
+                ..TrendPredictorConfig::depleting(5.0)
+            }),
+        },
+    ];
+    let gate = GateConfig {
+        nominal_period_secs: 5.0,
+        ..GateConfig::default()
+    };
+    let mut pipeline = MachinePipeline::new(&detectors, FusionRule::Any, gate).unwrap();
+    let mut out: Vec<PipelineEvent> = Vec::with_capacity(64);
+    let wiggle = noise(64 * 24);
+
+    // Warmup: 448 samples put the default Hölder detector past its
+    // baseline; 640 also run many trend refits.
+    let mut fed = 0usize;
+    for _ in 0..10 {
+        let (times, values) = decline_column(&wiggle, fed);
+        pipeline.ingest_column(Counter::AvailableBytes, &times, &values, &mut out);
+        fed += 64;
+    }
+
+    let measured: Vec<(Vec<f64>, Vec<f64>)> = (0..8)
+        .map(|c| decline_column(&wiggle, fed + 64 * c))
+        .collect();
+    let (delta, ()) = counted(|| {
+        for (times, values) in &measured {
+            pipeline.ingest_column(Counter::AvailableBytes, times, values, &mut out);
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "Hölder + trend ingest_column allocated {delta} times"
+    );
+    assert!(out.is_empty(), "unexpected pipeline events: {out:?}");
+    assert_eq!(pipeline.detector_errors(), 0);
+}
+
+/// The Hölder-family detector frees its baseline formation buffers when
+/// the baseline freezes, and allocates nothing per emission after.
+fn holder_detector_after_baseline_stays_allocation_free() {
+    let config = DetectorConfig::default();
+    let mut det = HolderDimensionDetector::new(config.clone()).unwrap();
+    let data: Vec<f64> = noise(1200).iter().map(|v| 1e6 + 4096.0 * v).collect();
+    let mut fed = 0;
+    while det.baseline().is_none() {
+        let (_, freed, _) = counted_bytes(|| det.push(data[fed]).unwrap());
+        fed += 1;
+        if det.baseline().is_some() {
+            // Two formation buffers of `baseline_windows` f64 each.
+            let formation = 2 * 8 * config.baseline_windows as i64;
+            assert!(
+                freed <= -formation,
+                "the freezing push left {freed} net bytes, wanted <= -{formation}"
+            );
+        }
+    }
+
+    let measured = &data[fed..];
+    let (delta, ()) = counted(|| {
+        for &v in measured {
+            det.push(v).unwrap();
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "HolderDimensionDetector push allocated {delta} times"
+    );
+    assert!(
+        measured.len() >= 8 * config.dimension_stride,
+        "the measured pushes must span several emissions"
+    );
 }
 
 /// Streaming Hölder pushes — including per-push emissions once the ring
@@ -250,6 +365,8 @@ fn streaming_spectrum_between_emissions_stays_allocation_free() {
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
     trend_pipeline_stays_allocation_free();
+    holder_trend_pipeline_stays_allocation_free();
+    holder_detector_after_baseline_stays_allocation_free();
     streaming_holder_stays_allocation_free();
     streaming_dimension_stays_allocation_free(WindowDimension::BoxCounting);
     streaming_dimension_stays_allocation_free(WindowDimension::Variation);

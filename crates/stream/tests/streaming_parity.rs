@@ -1,25 +1,32 @@
-//! End-to-end parity: each streaming detector family must emit the *same
-//! alerts at the same sample times* as its batch counterpart.
+//! End-to-end parity: each streaming detector family must reproduce the
+//! batch kernels on the same data, and emit the same alerts at the same
+//! sample times however the samples arrive.
 //!
-//! - The Hölder-dimension family against the batch
-//!   [`HolderDimensionDetector`] on an identical aging trace — including
-//!   when the samples arrive through the full ingestion path (CSV replay →
-//!   defect gate → detector). The trace is the benchmark suite's
+//! - The Hölder-dimension family: [`analyze`]'s traces against the batch
+//!   Hölder trace and the batch dimension estimator, and its alerts
+//!   against the same detector fed through the full ingestion path (CSV
+//!   replay → defect gate → detector). The trace is the benchmark suite's
 //!   "machine A" (E3) scenario: an NT4-class workstation running the
 //!   web-server mix with an injected aging fault, simulated until it
 //!   crashes.
-//! - The trend family ([`StreamingTrend`]) against the batch
-//!   [`SenSlopePredictor`] on E14-style feeds, push for push.
+//! - The trend family ([`SenSlopePredictor`]) against the rule restated
+//!   over a plain trailing window with [`MannKendall::test`] and
+//!   [`SenSlope::estimate`], on E14-style feeds, push for push.
 
 use std::fmt::Write as _;
 
-use aging_core::baseline::{AgingPredictor, SenSlopePredictor, TrendPredictorConfig};
+use aging_core::baseline::{
+    AgingPredictor, ResourceDirection, SenSlopePredictor, TrendPredictorConfig,
+};
 use aging_core::detector::{analyze, Alert, AlertLevel, DetectorConfig};
+use aging_fractal::holder::holder_trace;
 use aging_memsim::{simulate, Counter, FaultPlan, MachineConfig, Scenario, WorkloadConfig};
-use aging_stream::detector::{AlertDetail, DetectorSpec, StreamingDetector, StreamingTrend};
+use aging_stream::detector::{AlertDetail, DetectorSpec, StreamingDetector};
 use aging_stream::gate::{GateAction, SampleGate};
 use aging_stream::source::{CsvReplaySource, MachineSource, SampleSource};
 use aging_stream::GateConfig;
+use aging_timeseries::stats;
+use aging_timeseries::trend::{MannKendall, SenSlope, TrendDirection};
 
 /// The E3 "machine A" scenario (workstation-NT4 + web mix + aging fault).
 fn e3_scenario() -> Scenario {
@@ -58,6 +65,23 @@ fn streaming_detector_matches_batch_alarm_times_on_e3_trace() {
         "E3 trace must raise a confirmed alarm ({} alerts)",
         batch.alerts.len()
     );
+
+    // The analysis traces are the batch kernels' output, bit for bit.
+    let cfg = config();
+    let r = cfg.holder_radius;
+    let trace = holder_trace(&values, &cfg.holder_estimator()).unwrap();
+    assert_eq!(batch.holder_trace.len(), values.len() - 2 * r);
+    for (k, h) in batch.holder_trace.iter().enumerate() {
+        assert_eq!(h.to_bits(), trace[k + r].to_bits(), "Hölder point {k}");
+    }
+    assert!(batch.dimension_trace.len() > 100);
+    for (&(i, d), &(_, mean)) in batch.dimension_trace.iter().zip(&batch.mean_holder_trace) {
+        let end = i + 1 - r;
+        let window = &trace[end - cfg.dimension_window..end];
+        let want = cfg.dimension_method.estimate(window).unwrap();
+        assert_eq!(d.to_bits(), want.to_bits(), "dimension at sample {i}");
+        assert_eq!(mean.to_bits(), stats::mean(window).unwrap().to_bits());
+    }
 
     // Feed the identical trace through the full streaming ingestion path:
     // serialize to CSV, replay it, gate it, detect.
@@ -186,8 +210,44 @@ fn e14_feeds() -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The trend rule over a plain trailing window with the batch kernels:
+/// the ETA bits after every push, and the sample where the alarm first
+/// fired.
+fn batch_trend(config: &TrendPredictorConfig, values: &[f64]) -> (Vec<Option<u64>>, Option<usize>) {
+    assert_eq!(config.direction, ResourceDirection::Depleting);
+    let dt = config.sample_period_secs;
+    let span = (config.window - 1) as f64 * dt;
+    let mut eta = None;
+    let mut fired_at = None;
+    let mut etas = Vec::with_capacity(values.len());
+    for k in 0..values.len() {
+        let count = k + 1;
+        if count >= config.window && count % config.refit_every == 0 {
+            let window = &values[count - config.window..count];
+            if let Ok(mk) = MannKendall::test(window) {
+                if mk.direction(config.alpha) != TrendDirection::Decreasing {
+                    eta = None;
+                } else if let Ok(sen) = SenSlope::estimate(window, dt) {
+                    eta = (sen.slope < 0.0)
+                        .then(|| sen.time_to_level(config.exhaustion_level))
+                        .flatten()
+                        .map(|t| (t - span).max(0.0))
+                        .filter(|t| t.is_finite());
+                    if fired_at.is_none()
+                        && matches!(eta, Some(e) if e <= config.alarm_horizon_secs)
+                    {
+                        fired_at = Some(k);
+                    }
+                }
+            }
+        }
+        etas.push(eta.map(f64::to_bits));
+    }
+    (etas, fired_at)
+}
+
 #[test]
-fn streaming_trend_matches_batch_predictor_push_for_push() {
+fn streaming_trend_matches_batch_kernels_push_for_push() {
     let feeds = e14_feeds();
     // E14's window and the default, both refitting every 8 samples.
     for window in [120, 240] {
@@ -198,19 +258,10 @@ fn streaming_trend_matches_batch_predictor_push_for_push() {
         };
         let mut fired_feeds = 0;
         for (f, values) in feeds.iter().enumerate() {
-            // The batch predictor's ETA after every push, and where it fired.
-            let mut batch = SenSlopePredictor::new(config.clone()).unwrap();
-            let mut etas = Vec::with_capacity(values.len());
-            let mut fired_at = None;
-            for (k, &v) in values.iter().enumerate() {
-                if batch.push(v).unwrap() {
-                    fired_at = Some(k);
-                }
-                etas.push(batch.eta_secs().map(f64::to_bits));
-            }
+            let (etas, fired_at) = batch_trend(&config, values);
             fired_feeds += usize::from(fired_at.is_some());
 
-            let mut scalar = StreamingTrend::new(config.clone()).unwrap();
+            let mut scalar = SenSlopePredictor::new(config.clone()).unwrap();
             for (k, &v) in values.iter().enumerate() {
                 let at = format!("window {window}, feed {f}, sample {k}");
                 assert_eq!(scalar.push(v).unwrap(), fired_at == Some(k), "{at}");
@@ -218,7 +269,7 @@ fn streaming_trend_matches_batch_predictor_push_for_push() {
             }
 
             for chunk in [1, 2, 7, 64] {
-                let mut sliced = StreamingTrend::new(config.clone()).unwrap();
+                let mut sliced = SenSlopePredictor::new(config.clone()).unwrap();
                 for (c, block) in values.chunks(chunk).enumerate() {
                     let start = c * chunk;
                     let end = start + block.len();
