@@ -70,12 +70,13 @@ else
     cargo run --release -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e19
 fi
 
-# E3/E4/E7/E8/E9 are pinned to their committed outputs: a quick run must
-# reproduce each CSV in bench_results/ byte for byte. e3_dimension_trace.csv
-# holds the full-precision dimension and mean-Hölder traces of `analyze`,
-# so this also pins the traces. repro writes ./bench_results under its
+# E1–E9 are pinned to their committed outputs: a quick run must reproduce
+# each CSV in bench_results/ byte for byte. e3_dimension_trace.csv holds
+# the full-precision dimension and mean-Hölder traces of `analyze`, and
+# the e2_*_bytes.csv files the full-precision batch `holder_trace`, so
+# this also pins both traces. repro writes ./bench_results under its
 # working directory, so it runs from a temporary directory.
-echo "==> repro e3 e4 e7 e8 e9 CSVs match bench_results/ (quick)"
+echo "==> repro e1 e2 e3 e4 e5 e6 e7 e8 e9 CSVs match bench_results/ (quick)"
 csv_dir=$(mktemp -d)
 trap 'rm -rf "$csv_dir"' EXIT
 repo_dir=$PWD
@@ -84,8 +85,12 @@ if [ "$quick" = "quick" ]; then
     release=
 fi
 (cd "$csv_dir" && cargo run $release --manifest-path "$repo_dir/Cargo.toml" -p aging-bench \
-    --bin repro -- --quick --no-trajectory e3 e4 e7 e8 e9 > /dev/null)
-for csv in e3_alarms e3_dimension_trace e4_available_bytes e4_used_swap_bytes \
+    --bin repro -- --quick --no-trajectory e1 e2 e3 e4 e5 e6 e7 e8 e9 > /dev/null)
+for csv in e1_machine-a-nt4-101 e1_machine-b-w2k-202 e1_summary \
+    e2_machine-a-nt4-101_available_bytes e2_machine-a-nt4-101_used_swap_bytes \
+    e2_machine-b-w2k-202_available_bytes e2_machine-b-w2k-202_used_swap_bytes e2_summary \
+    e3_alarms e3_dimension_trace e4_available_bytes e4_used_swap_bytes \
+    e5_cascade_tau e5_hurst e5_weierstrass e6_progression \
     e7_policies e8_ablation e9_confirm_windows e9_holder_drop e9_jump_delta; do
     cmp "$csv_dir/bench_results/$csv.csv" "bench_results/$csv.csv"
 done

@@ -172,8 +172,15 @@ impl DetectorConfig {
         if !(self.max_h > 0.0) {
             return Err(Error::invalid("max_h", "must be positive"));
         }
-        if self.dimension_window < 16 {
-            return Err(Error::invalid("dimension_window", "must be at least 16"));
+        let min_window = self.dimension_method.min_window();
+        if self.dimension_window < min_window {
+            return Err(Error::invalid(
+                "dimension_window",
+                format!(
+                    "must be at least {min_window} for {:?}",
+                    self.dimension_method
+                ),
+            ));
         }
         if self.dimension_stride == 0 || self.dimension_stride > self.dimension_window {
             return Err(Error::invalid(
@@ -816,6 +823,7 @@ mod tests {
         assert!(bad(|c| c.holder_radius = 8));
         assert!(bad(|c| c.max_h = 0.0));
         assert!(bad(|c| c.dimension_window = 4));
+        assert!(bad(|c| c.dimension_window = 24));
         assert!(bad(|c| c.dimension_stride = 0));
         assert!(bad(|c| c.dimension_stride = 129));
         assert!(bad(|c| c.baseline_windows = 1));
@@ -825,6 +833,39 @@ mod tests {
         assert!(bad(|c| c.holder_floor_fraction = 1.0));
         assert!(bad(|c| c.holder_floor_fraction = -0.1));
         assert!(bad(|c| c.confirm_windows = 0));
+    }
+
+    /// A box-counting window below 32 samples has no three grid levels:
+    /// validation must refuse it up front instead of the first emission
+    /// failing. The variation method fits from 16.
+    #[test]
+    fn dimension_window_floor_depends_on_the_method() {
+        let with = |method, window| DetectorConfig {
+            dimension_method: method,
+            dimension_window: window,
+            dimension_stride: 8,
+            ..DetectorConfig::default()
+        };
+        let boxed = with(WindowDimension::BoxCounting, 31);
+        let err = boxed.validate().unwrap_err().to_string();
+        assert!(err.contains("dimension_window"), "{err}");
+        assert!(HolderDimensionDetector::new(boxed).is_err());
+        assert!(with(WindowDimension::BoxCounting, 32).validate().is_ok());
+        assert!(with(WindowDimension::Variation, 15).validate().is_err());
+        assert!(with(WindowDimension::Variation, 16).validate().is_ok());
+        assert!(with(WindowDimension::Variation, 24).validate().is_ok());
+
+        // Both floors run: every emission fits, none errors.
+        let data = collapse_signal(600, 11);
+        for config in [
+            with(WindowDimension::BoxCounting, 32),
+            with(WindowDimension::Variation, 16),
+        ] {
+            let mut det = HolderDimensionDetector::new(config).unwrap();
+            for &v in &data {
+                det.push(v).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! For a self-affine graph with Hurst exponent `H` (e.g. fBm),
 //! `D = 2 − H`; a smooth curve has `D = 1`; white noise approaches `D = 2`.
 
-use aging_timeseries::regression::{log_log_fit, LineFit};
+use aging_timeseries::regression::{log_log_fit, ols, LineFit};
 use aging_timeseries::{stats, Error, Result};
 
 /// A graph-dimension estimate together with its scaling fit.
@@ -27,6 +27,10 @@ pub struct DimensionEstimate {
     pub fit: LineFit,
 }
 
+/// Shortest series [`box_counting`] can fit: three dyadic grid levels
+/// need `n / 4 ≥ 8` divisions at the finest level.
+pub const BOX_COUNTING_MIN_LEN: usize = 32;
+
 /// Box-counting dimension of the graph `{(t, x[t])}`.
 ///
 /// The graph is normalised to the unit square, covered with grids of side
@@ -36,77 +40,165 @@ pub struct DimensionEstimate {
 ///
 /// # Errors
 ///
-/// Returns [`Error::TooShort`] below 16 samples, [`Error::NonFinite`] for
-/// NaN input, and [`Error::Numerical`] for a constant series (a degenerate
-/// graph; its dimension is 1 by convention but no fit is possible —
-/// callers that want the convention use [`box_counting_or_smooth`]).
+/// Returns [`Error::TooShort`] below 16 samples (and below
+/// [`BOX_COUNTING_MIN_LEN`] for a non-constant series), [`Error::NonFinite`]
+/// for NaN input, and [`Error::Numerical`] for a constant series (a
+/// degenerate graph; its dimension is 1 by convention but no fit is
+/// possible — callers that want the convention use
+/// [`box_counting_or_smooth`]).
 pub fn box_counting(data: &[f64]) -> Result<DimensionEstimate> {
     Error::require_len(data, 16)?;
-    Error::require_finite(data)?;
-    let n = data.len();
-    let lo = stats::min(data)?;
-    let hi = stats::max(data)?;
+    if data.len() < BOX_COUNTING_MIN_LEN {
+        // Too short for three grid levels, but a constant series still
+        // reports its degenerate graph first.
+        Error::require_finite(data)?;
+        let (lo, hi) = crate::holder::min_max(data);
+        graph_span(lo, hi)?;
+    }
+    BoxGrid::new(data.len())?.estimate(data)
+}
+
+/// The vertical span of a graph whose samples run from `lo` to `hi`.
+fn graph_span(lo: f64, hi: f64) -> Result<f64> {
     if hi - lo <= f64::EPSILON * lo.abs().max(1.0) {
         return Err(Error::Numerical(
             "constant series has degenerate graph".into(),
         ));
     }
-    let span = hi - lo;
+    Ok(hi - lo)
+}
 
-    // Grid levels: ε = 2^{-k}, from 2 divisions up to ~n/4 divisions so
-    // each column holds a few samples.
-    let max_k = ((n as f64 / 4.0).log2().floor() as usize).max(2);
-    if max_k < 3 {
-        return Err(Error::TooShort {
-            required: 32,
-            actual: n,
-        });
-    }
+/// The box-counting grid of an `n`-sample graph, built once per length.
+///
+/// Sample `i` sits at `t = i/(n−1)`, in column `⌊t/ε⌋` (capped at the
+/// last) of the level with `2^k` columns of width `ε = 2^{−k}`. Levels run
+/// from 2 columns up to ~n/4, so every finest column holds a few samples.
+/// The grid stores where each finest column starts; the levels are dyadic,
+/// so a coarser column — its interpolation partner included — is exactly
+/// two finer ones, and its vertical extent is the pairwise min/max of
+/// theirs. DESIGN.md §7 shows why the counts are the per-level column
+/// walk's bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct BoxGrid {
+    /// Start of each finest-level column, then `n`.
+    starts: Vec<usize>,
+    /// `ln 2^k` for the levels `k = 1, 2, …`: the fit's abscissae.
+    log_divisions: Vec<f64>,
+    /// Per-column minimum and maximum, folded in place level by level.
+    lows: Vec<f64>,
+    highs: Vec<f64>,
+}
 
-    // Time columns cover contiguous sample runs (t = i/(n−1) is monotone
-    // in i), so each column's vertical extent — including the linear
-    // interpolation to the first sample past the column — is the min/max
-    // of one contiguous data slice. min/max commute with the monotone
-    // graph normalisation, so counting boxes from the raw-slice extremes
-    // is exact, needs no per-column state arrays, and the scan runs
-    // through the 4-lane [`min_max`] kernel instead of a loop-carried
-    // read-modify-write. `max_k` ≤ 64, so the fit points live on the
-    // stack. This runs per StreamingDimension emission: zero heap.
-    let mut xs = [0.0f64; 64];
-    let mut ys = [0.0f64; 64];
-    for k in 1..=max_k {
-        let divisions = 1usize << k;
+impl BoxGrid {
+    /// The grid for `n`-sample series.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::TooShort`] below [`BOX_COUNTING_MIN_LEN`] samples.
+    pub(crate) fn new(n: usize) -> Result<Self> {
+        let levels = (n as f64 / 4.0).log2().floor() as usize;
+        if levels < 3 {
+            return Err(Error::TooShort {
+                required: BOX_COUNTING_MIN_LEN,
+                actual: n,
+            });
+        }
+        let divisions = 1usize << levels;
         let eps = 1.0 / divisions as f64;
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i < n {
+        let mut starts = Vec::with_capacity(divisions + 1);
+        for i in 0..n {
             let t = i as f64 / (n - 1) as f64;
             let col = ((t / eps) as usize).min(divisions - 1);
-            let mut j = i + 1;
-            while j < n {
-                let tj = j as f64 / (n - 1) as f64;
-                if ((tj / eps) as usize).min(divisions - 1) != col {
-                    break;
-                }
-                j += 1;
+            if col + 1 != starts.len() {
+                assert_eq!(col, starts.len(), "box-counting column {col} is empty");
+                starts.push(i);
             }
-            // Include the interpolation partner (first sample of the next
-            // column) in this column's excursion.
-            let (mn, mx) = crate::holder::min_max(&data[i..=j.min(n - 1)]);
-            let lo_box = (((mn - lo) / span) / eps).floor() as i64;
-            let hi_box = (((mx - lo) / span) / eps).floor() as i64;
-            count += (hi_box - lo_box + 1).max(1) as usize;
-            i = j;
         }
-        xs[k - 1] = divisions as f64;
-        ys[k - 1] = count as f64;
+        assert_eq!(starts.len(), divisions, "box-counting columns are empty");
+        starts.push(n);
+        Ok(BoxGrid {
+            starts,
+            log_divisions: (1..=levels).map(|k| ((1usize << k) as f64).ln()).collect(),
+            lows: vec![0.0; divisions],
+            highs: vec![0.0; divisions],
+        })
     }
-    let fit = log_log_fit(&xs[..max_k], &ys[..max_k])?;
-    Ok(DimensionEstimate {
-        dimension: fit.slope.clamp(1.0, 2.0),
-        raw_dimension: fit.slope,
-        fit,
-    })
+
+    /// The series length this grid covers.
+    pub(crate) fn len(&self) -> usize {
+        self.starts[self.starts.len() - 1]
+    }
+
+    /// Box-counting dimension of `data`; see [`box_counting`]. Allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::LengthMismatch`] when `data` is not [`Self::len`]
+    /// long, [`Error::NonFinite`] for NaN input and [`Error::Numerical`]
+    /// for a constant series.
+    pub(crate) fn estimate(&mut self, data: &[f64]) -> Result<DimensionEstimate> {
+        let n = self.len();
+        if data.len() != n {
+            return Err(Error::LengthMismatch {
+                left: data.len(),
+                right: n,
+            });
+        }
+        Error::require_finite(data)?;
+        // Each finest column's extent includes the interpolation partner
+        // (the first sample of the next column). min/max commute with the
+        // monotone graph normalisation, so boxes count from raw extremes.
+        for (c, w) in self.starts.windows(2).enumerate() {
+            let (mn, mx) = crate::holder::min_max(&data[w[0]..=w[1].min(n - 1)]);
+            self.lows[c] = mn;
+            self.highs[c] = mx;
+        }
+        let (lo, _) = crate::holder::min_max(&self.lows);
+        let (_, hi) = crate::holder::min_max(&self.highs);
+        let span = graph_span(lo, hi)?;
+
+        // Finest level first; `* divisions` is the exact `/ ε`. Every
+        // extent is ≥ `lo`, so a box coordinate is ≥ 0 (or NaN once an
+        // infinite span enters), where truncating `as i64` is `floor`
+        // without the libm call. `levels` ≤ 64, so the fit points live
+        // on the stack.
+        let levels = self.log_divisions.len();
+        let mut log_counts = [0.0f64; 64];
+        for k in (1..=levels).rev() {
+            let divisions = 1usize << k;
+            if divisions < self.lows.len() {
+                for c in 0..divisions {
+                    self.lows[c] = self.lows[2 * c].min(self.lows[2 * c + 1]);
+                    self.highs[c] = self.highs[2 * c].max(self.highs[2 * c + 1]);
+                }
+            }
+            let scale = divisions as f64;
+            let mut count = 0usize;
+            for (&mn, &mx) in self.lows[..divisions].iter().zip(&self.highs) {
+                let lo_box = (((mn - lo) / span) * scale) as i64;
+                let hi_box = (((mx - lo) / span) * scale) as i64;
+                count += (hi_box - lo_box + 1).max(1) as usize;
+            }
+            log_counts[k - 1] = (count as f64).ln();
+        }
+        let fit = ols(&self.log_divisions, &log_counts[..levels])?;
+        Ok(DimensionEstimate {
+            dimension: fit.slope.clamp(1.0, 2.0),
+            raw_dimension: fit.slope,
+            fit,
+        })
+    }
+}
+
+/// The dimension of an estimate, with a degenerate (constant) graph
+/// mapped to 1: a flat line is smooth. Other failures propagate.
+pub(crate) fn dimension_or_smooth(estimate: Result<DimensionEstimate>) -> Result<f64> {
+    match estimate {
+        Ok(est) => Ok(est.dimension),
+        Err(Error::Numerical(_)) => Ok(1.0),
+        Err(e) => Err(e),
+    }
 }
 
 /// Like [`box_counting`] but maps the degenerate constant-series case to
@@ -117,11 +209,7 @@ pub fn box_counting(data: &[f64]) -> Result<DimensionEstimate> {
 ///
 /// Same as [`box_counting`] except the constant case.
 pub fn box_counting_or_smooth(data: &[f64]) -> Result<f64> {
-    match box_counting(data) {
-        Ok(est) => Ok(est.dimension),
-        Err(Error::Numerical(_)) => Ok(1.0),
-        Err(e) => Err(e),
-    }
+    dimension_or_smooth(box_counting(data))
 }
 
 /// Variation (oscillation) dimension of Dubuc et al.: the mean oscillation
@@ -237,9 +325,161 @@ pub fn higuchi(data: &[f64], k_max: usize) -> Result<DimensionEstimate> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generate;
+    use proptest::prelude::*;
+
+    /// The per-level column walk [`BoxGrid`] replaced, kept as its oracle:
+    /// every level re-derives each sample's column with `t / ε`.
+    fn reference_box_counting(data: &[f64]) -> Result<DimensionEstimate> {
+        Error::require_len(data, 16)?;
+        Error::require_finite(data)?;
+        let n = data.len();
+        let lo = stats::min(data)?;
+        let hi = stats::max(data)?;
+        if hi - lo <= f64::EPSILON * lo.abs().max(1.0) {
+            return Err(Error::Numerical(
+                "constant series has degenerate graph".into(),
+            ));
+        }
+        let span = hi - lo;
+        let max_k = ((n as f64 / 4.0).log2().floor() as usize).max(2);
+        if max_k < 3 {
+            return Err(Error::TooShort {
+                required: 32,
+                actual: n,
+            });
+        }
+        let mut xs = [0.0f64; 64];
+        let mut ys = [0.0f64; 64];
+        for k in 1..=max_k {
+            let divisions = 1usize << k;
+            let eps = 1.0 / divisions as f64;
+            let mut count = 0usize;
+            let mut i = 0usize;
+            while i < n {
+                let t = i as f64 / (n - 1) as f64;
+                let col = ((t / eps) as usize).min(divisions - 1);
+                let mut j = i + 1;
+                while j < n {
+                    let tj = j as f64 / (n - 1) as f64;
+                    if ((tj / eps) as usize).min(divisions - 1) != col {
+                        break;
+                    }
+                    j += 1;
+                }
+                let (mn, mx) = crate::holder::min_max(&data[i..=j.min(n - 1)]);
+                let lo_box = (((mn - lo) / span) / eps).floor() as i64;
+                let hi_box = (((mx - lo) / span) / eps).floor() as i64;
+                count += (hi_box - lo_box + 1).max(1) as usize;
+                i = j;
+            }
+            xs[k - 1] = divisions as f64;
+            ys[k - 1] = count as f64;
+        }
+        let fit = log_log_fit(&xs[..max_k], &ys[..max_k])?;
+        Ok(DimensionEstimate {
+            dimension: fit.slope.clamp(1.0, 2.0),
+            raw_dimension: fit.slope,
+            fit,
+        })
+    }
+
+    fn estimate_bits(est: &DimensionEstimate) -> [u64; 7] {
+        let fit = &est.fit;
+        [
+            est.dimension.to_bits(),
+            est.raw_dimension.to_bits(),
+            fit.slope.to_bits(),
+            fit.intercept.to_bits(),
+            fit.r_squared.to_bits(),
+            fit.slope_std_error.to_bits(),
+            fit.n as u64,
+        ]
+    }
+
+    /// Deterministic series of `n` samples in one of four shapes: a rough
+    /// walk, constant runs (a single level makes the whole series
+    /// constant), spikes spanning ±1e300, and signed zeros among ±1.
+    pub(crate) fn shaped_series(n: usize, seed: u64, shape: u8) -> Vec<f64> {
+        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut walk = 0.0;
+        let levels = 1 + (seed % 4) as usize;
+        let mut level = 0.0;
+        (0..n)
+            .map(|_| match shape {
+                0 => {
+                    walk += next() - 0.5;
+                    walk
+                }
+                1 => {
+                    if next() < 0.1 {
+                        level = (next() * levels as f64).floor();
+                    }
+                    level
+                }
+                2 => match (next() * 4.0) as u32 {
+                    0 => 1e300,
+                    1 => -1e300,
+                    _ => (next() - 0.5) * 2e300,
+                },
+                _ => [0.0, -0.0, 1.0, -1.0][(next() * 4.0) as usize],
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lengths 16..=2048: any, or a power of two or its neighbour.
+        #[test]
+        fn grid_matches_the_column_walk_bitwise(
+            any_len in 16usize..=2048,
+            power in 4u32..=11,
+            offset in 0usize..=2,
+            dyadic in 0u8..2,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+        ) {
+            let n = if dyadic == 1 {
+                ((1usize << power) + offset).clamp(17, 2049) - 1
+            } else {
+                any_len
+            };
+            let data = shaped_series(n, seed, shape);
+            match (box_counting(&data), reference_box_counting(&data)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(estimate_bits(&got), estimate_bits(&want)),
+                (got, want) => prop_assert_eq!(got, want),
+            }
+        }
+    }
+
+    #[test]
+    fn grid_is_reused_across_windows_of_its_length() {
+        let x = generate::fbm(1024, 0.5, 21).unwrap();
+        let mut grid = BoxGrid::new(128).unwrap();
+        assert_eq!(grid.len(), 128);
+        for w in x.windows(128).step_by(37) {
+            let got = grid.estimate(w).unwrap();
+            let want = reference_box_counting(w).unwrap();
+            assert_eq!(estimate_bits(&got), estimate_bits(&want));
+        }
+        assert!(matches!(
+            grid.estimate(&x[..127]),
+            Err(Error::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            BoxGrid::new(BOX_COUNTING_MIN_LEN - 1),
+            Err(Error::TooShort { required: 32, .. })
+        ));
+    }
 
     #[test]
     fn smooth_curve_has_dimension_one() {

@@ -236,39 +236,13 @@ fn increment_trace(data: &[f64], cfg: &IncrementConfig, pool: &Pool) -> Result<V
     Error::require_len(data, min_n)?;
     let n = data.len();
     let w = cfg.window_radius;
-
-    let lags = power_of_two_steps(cfg.max_lag);
-    let log_r: Vec<f64> = lags.iter().map(|&r| (r as f64).ln()).collect();
-
+    // Every neighbourhood, truncated at the edges, keeps at least
+    // `window_radius + 1 > max_lag` samples, so every rung has increments.
+    let ladder = IncrementLadder::new(cfg.max_lag, cfg.max_h);
     let out = pool.map_range(n, |range| {
-        let mut chunk = Vec::with_capacity(range.len());
-        let mut xs = Vec::with_capacity(lags.len());
-        let mut ys = Vec::with_capacity(lags.len());
-        for t in range {
-            let lo = t.saturating_sub(w);
-            let hi = (t + w).min(n - 1);
-            xs.clear();
-            ys.clear();
-            for (ri, &r) in lags.iter().enumerate() {
-                if hi - lo < r {
-                    continue;
-                }
-                let mut acc = 0.0;
-                let mut count = 0usize;
-                let mut u = lo;
-                while u + r <= hi {
-                    acc += (data[u + r] - data[u]).abs();
-                    count += 1;
-                    u += 1;
-                }
-                if count > 0 && acc > 0.0 {
-                    xs.push(log_r[ri]);
-                    ys.push((acc / count as f64).ln());
-                }
-            }
-            chunk.push(fit_or_cap(&xs, &ys, cfg.max_h));
-        }
-        chunk
+        range
+            .map(|t| ladder.exponent(&data[t.saturating_sub(w)..=(t + w).min(n - 1)]))
+            .collect()
     });
     Ok(out)
 }
@@ -381,33 +355,111 @@ pub fn increment_exponent(window: &[f64], max_lag: usize, max_h: f64) -> Result<
     }
     Error::require_len(window, 4 * max_lag)?;
     Error::require_finite(window)?;
-    // This runs once per push in the streaming detectors, so the lag
-    // ladder 1, 2, 4, …, max_lag is walked in place and the regression
-    // points live on the stack — zero heap allocation per call. A usize
-    // has at most 64 doubling steps. The increment sum keeps its
-    // sequential order (reassociating FP adds would change bits); the
-    // zip only removes the bounds checks of the indexed form.
-    let mut xs = [0.0f64; usize::BITS as usize];
-    let mut ys = [0.0f64; usize::BITS as usize];
-    let mut len = 0usize;
-    let mut r = 1usize;
-    while r <= max_lag {
-        let mut acc = 0.0;
-        for (a, b) in window[r..].iter().zip(window.iter()) {
-            acc += (a - b).abs();
+    Ok(IncrementLadder::new(max_lag, max_h).exponent(window))
+}
+
+/// A usize has at most 64 doubling steps, so no ladder has more rungs.
+const MAX_RUNGS: usize = usize::BITS as usize;
+
+/// Rungs accumulated side by side in one pass; a longer ladder takes one
+/// pass per group of this many rungs.
+const RUNG_GROUP: usize = 8;
+
+/// The local-increment estimator: the lag ladder `1, 2, 4, …, max_lag`
+/// with each rung's `ln(lag)`, built once per configuration. The batch
+/// [`holder_trace`] and the streaming
+/// [`StreamingHolder`](crate::streaming::StreamingHolder) both run
+/// [`IncrementLadder::exponent`], so their traces agree bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct IncrementLadder {
+    rungs: usize,
+    log_lag: [f64; MAX_RUNGS],
+    max_h: f64,
+}
+
+impl IncrementLadder {
+    /// The ladder for lags up to `max_lag` (callers check `max_lag ≥ 4`)
+    /// and exponent cap `max_h`.
+    pub(crate) fn new(max_lag: usize, max_h: f64) -> Self {
+        let mut log_lag = [0.0f64; MAX_RUNGS];
+        let mut rungs = 0;
+        let mut r = 1usize;
+        while r <= max_lag {
+            log_lag[rungs] = (r as f64).ln();
+            rungs += 1;
+            if r > max_lag / 2 {
+                break;
+            }
+            r *= 2;
         }
-        let count = window.len() - r;
-        if acc > 0.0 {
-            xs[len] = (r as f64).ln();
-            ys[len] = (acc / count as f64).ln();
-            len += 1;
+        IncrementLadder {
+            rungs,
+            log_lag,
+            max_h,
         }
-        if r > max_lag / 2 {
-            break;
-        }
-        r *= 2;
     }
-    Ok(fit_or_cap(&xs[..len], &ys[..len], max_h))
+
+    /// Hölder exponent attributed to the centre of `window`, which must
+    /// hold at least as many samples as the largest lag: the slope of
+    /// `ln ⟨|x(u+r) − x(u)|⟩` against `ln r`, capped as in [`holder_trace`].
+    /// Allocates nothing.
+    pub(crate) fn exponent(&self, window: &[f64]) -> f64 {
+        let mut sums = [0.0f64; MAX_RUNGS];
+        for (g, group) in sums[..self.rungs].chunks_mut(RUNG_GROUP).enumerate() {
+            let first = g * RUNG_GROUP;
+            match group.len() {
+                1 => increment_sums::<1>(window, first, group),
+                2 => increment_sums::<2>(window, first, group),
+                3 => increment_sums::<3>(window, first, group),
+                4 => increment_sums::<4>(window, first, group),
+                5 => increment_sums::<5>(window, first, group),
+                6 => increment_sums::<6>(window, first, group),
+                7 => increment_sums::<7>(window, first, group),
+                _ => increment_sums::<RUNG_GROUP>(window, first, group),
+            }
+        }
+        let mut xs = [0.0f64; MAX_RUNGS];
+        let mut ys = [0.0f64; MAX_RUNGS];
+        let mut len = 0usize;
+        for (ri, &acc) in sums[..self.rungs].iter().enumerate() {
+            if acc > 0.0 {
+                xs[len] = self.log_lag[ri];
+                ys[len] = (acc / (window.len() - (1usize << ri)) as f64).ln();
+                len += 1;
+            }
+        }
+        fit_or_cap(&xs[..len], &ys[..len], self.max_h)
+    }
+}
+
+/// Writes `Σ_u |x(u+r) − x(u)|` into `sums[j]` for the `R` rungs
+/// `r = 2^(first+j)`, in one pass over `window`.
+///
+/// Each rung's sum keeps its own sequential order over `u` (reassociating
+/// FP adds would change bits); running the rungs side by side only turns
+/// `R` back-to-back dependency chains into `R` independent ones. The
+/// shifted slices let the compiler drop the bounds checks.
+#[inline]
+fn increment_sums<const R: usize>(window: &[f64], first: usize, sums: &mut [f64]) {
+    let top = 1usize << (first + R - 1);
+    let m = window.len() - top;
+    let base = &window[..m];
+    let shifted: [&[f64]; R] = std::array::from_fn(|j| &window[1 << (first + j)..][..m]);
+    let mut acc = [0.0f64; R];
+    for (u, &x) in base.iter().enumerate() {
+        for j in 0..R {
+            acc[j] += (shifted[j][u] - x).abs();
+        }
+    }
+    // The rungs below the top still have partners past `m`.
+    for (j, (a, sum)) in acc.iter().zip(sums.iter_mut()).enumerate() {
+        let lag = 1usize << (first + j);
+        let mut a = *a;
+        for (b, x) in window[m + lag..].iter().zip(&window[m..]) {
+            a += (b - x).abs();
+        }
+        *sum = a;
+    }
 }
 
 fn fit_or_cap(xs: &[f64], ys: &[f64], max_h: f64) -> f64 {
@@ -458,8 +510,117 @@ impl HolderSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dimension::tests::shaped_series;
     use crate::generate;
     use aging_timeseries::stats;
+    use proptest::prelude::*;
+
+    /// The per-rung sequential loop [`IncrementLadder`] replaced, kept as
+    /// its oracle: one full pass over the window per lag.
+    fn reference_increment_exponent(window: &[f64], max_lag: usize, max_h: f64) -> f64 {
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        let mut r = 1usize;
+        while r <= max_lag {
+            let mut acc = 0.0;
+            for (a, b) in window[r..].iter().zip(window.iter()) {
+                acc += (a - b).abs();
+            }
+            let count = window.len() - r;
+            if acc > 0.0 {
+                xs.push((r as f64).ln());
+                ys.push((acc / count as f64).ln());
+            }
+            if r > max_lag / 2 {
+                break;
+            }
+            r *= 2;
+        }
+        fit_or_cap(&xs, &ys, max_h)
+    }
+
+    /// The batch increment trace as it was before it shared the ladder:
+    /// each point walks its (edge-truncated) neighbourhood rung by rung.
+    fn reference_increment_trace(data: &[f64], cfg: &IncrementConfig) -> Vec<f64> {
+        let n = data.len();
+        let w = cfg.window_radius;
+        let lags = power_of_two_steps(cfg.max_lag);
+        (0..n)
+            .map(|t| {
+                let lo = t.saturating_sub(w);
+                let hi = (t + w).min(n - 1);
+                let mut xs = Vec::new();
+                let mut ys = Vec::new();
+                for &r in &lags {
+                    if hi - lo < r {
+                        continue;
+                    }
+                    let mut acc = 0.0;
+                    let mut count = 0usize;
+                    let mut u = lo;
+                    while u + r <= hi {
+                        acc += (data[u + r] - data[u]).abs();
+                        count += 1;
+                        u += 1;
+                    }
+                    if count > 0 && acc > 0.0 {
+                        xs.push((r as f64).ln());
+                        ys.push((acc / count as f64).ln());
+                    }
+                }
+                fit_or_cap(&xs, &ys, cfg.max_h)
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `max_lag` 4..=40 gives ladders of 3 to 6 rungs; windows run
+        /// down to the `4·max_lag` floor.
+        #[test]
+        fn ladder_matches_the_rung_loop_bitwise(
+            max_lag in 4usize..=40,
+            extra in 0usize..=160,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+            cap in 0.1f64..3.0,
+            default_cap in 0u8..2,
+        ) {
+            let max_h = if default_cap == 1 { 2.0 } else { cap };
+            let window = shaped_series(4 * max_lag + extra, seed, shape);
+            let got = increment_exponent(&window, max_lag, max_h).unwrap();
+            let want = reference_increment_exponent(&window, max_lag, max_h);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+
+        /// The batch trace, edges included, at every pool size.
+        #[test]
+        fn increment_trace_matches_the_rung_loop_bitwise(
+            max_lag in 4usize..=40,
+            radius_extra in 0usize..=24,
+            extra in 0usize..=200,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+        ) {
+            let cfg = IncrementConfig {
+                window_radius: 2 * max_lag + radius_extra,
+                max_lag,
+                max_h: 2.0,
+            };
+            let n = (2 * cfg.window_radius).max(64) + extra;
+            let data = shaped_series(n, seed, shape);
+            let want = bits(&reference_increment_trace(&data, &cfg));
+            for threads in [1, 3] {
+                let got = increment_trace(&data, &cfg, &Pool::new(threads)).unwrap();
+                prop_assert_eq!(bits(&got), want.clone());
+            }
+        }
+    }
 
     #[test]
     fn weierstrass_trace_matches_h_increment() {

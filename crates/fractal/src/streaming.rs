@@ -10,9 +10,10 @@
 //! These are the kernels underneath the Hölder-dimension detector
 //! (`aging_core::detector`); the arithmetic is byte-for-byte the batch
 //! estimators' (each emission copies its ring window into a scratch buffer
-//! and calls the batch routine), so streaming results are identical to
-//! re-running the batch code on the same trailing window — only the
-//! bookkeeping is incremental.
+//! and runs the kernel the batch routine runs, with its lag ladder or
+//! box-counting grid built once at construction), so streaming results
+//! are identical to re-running the batch code on the same trailing window
+//! — only the bookkeeping is incremental.
 //!
 //! # Examples
 //!
@@ -37,22 +38,22 @@
 use aging_timeseries::ring::RingBuffer;
 use aging_timeseries::{stats, Error, Result};
 
-use crate::dimension;
-use crate::holder;
+use crate::dimension::{self, BoxGrid, BOX_COUNTING_MIN_LEN};
+use crate::holder::IncrementLadder;
 
 /// Streaming local Hölder exponent of the trailing `2·radius + 1`-sample
 /// neighbourhood.
 ///
 /// Each push appends one raw sample; once the neighbourhood is full, every
 /// push emits the increment-method Hölder exponent of the trailing window
-/// (exactly [`holder::increment_exponent`] on those samples), i.e. the
-/// online analogue of the batch Hölder trace delayed by `radius` samples.
+/// (exactly [`crate::holder::increment_exponent`] on those samples), i.e.
+/// the online analogue of the batch Hölder trace delayed by `radius`
+/// samples.
 #[derive(Debug, Clone)]
 pub struct StreamingHolder {
     ring: RingBuffer,
     scratch: Vec<f64>,
-    max_lag: usize,
-    max_h: f64,
+    ladder: IncrementLadder,
 }
 
 impl StreamingHolder {
@@ -85,8 +86,7 @@ impl StreamingHolder {
         Ok(StreamingHolder {
             ring: RingBuffer::new(window)?,
             scratch: Vec::with_capacity(window),
-            max_lag,
-            max_h,
+            ladder: IncrementLadder::new(max_lag, max_h),
         })
     }
 
@@ -118,7 +118,7 @@ impl StreamingHolder {
             return Ok(None);
         }
         self.ring.copy_to(&mut self.scratch);
-        holder::increment_exponent(&self.scratch, self.max_lag, self.max_h).map(Some)
+        Ok(Some(self.ladder.exponent(&self.scratch)))
     }
 
     /// Clears the sample window (e.g. after a reboot).
@@ -167,11 +167,18 @@ impl WindowDimension {
     pub fn estimate(&self, window: &[f64]) -> Result<f64> {
         match self {
             WindowDimension::BoxCounting => dimension::box_counting_or_smooth(window),
-            WindowDimension::Variation => match dimension::variation(window) {
-                Ok(est) => Ok(est.dimension),
-                Err(Error::Numerical(_)) => Ok(1.0),
-                Err(e) => Err(e),
-            },
+            WindowDimension::Variation => {
+                dimension::dimension_or_smooth(dimension::variation(window))
+            }
+        }
+    }
+
+    /// Shortest window the estimator can fit: 32 samples for box-counting
+    /// (three grid levels), 16 for the variation method (three radii).
+    pub fn min_window(&self) -> usize {
+        match self {
+            WindowDimension::BoxCounting => BOX_COUNTING_MIN_LEN,
+            WindowDimension::Variation => 16,
         }
     }
 }
@@ -200,6 +207,8 @@ pub struct StreamingDimension {
     ring: RingBuffer,
     scratch: Vec<f64>,
     method: WindowDimension,
+    /// The window's box-counting grid, built once (box-counting only).
+    grid: Option<BoxGrid>,
     stride: usize,
 }
 
@@ -209,11 +218,15 @@ impl StreamingDimension {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] for zero `window` or `stride`,
-    /// or `stride > window` (windows must overlap or tile).
+    /// Returns [`Error::InvalidParameter`] for a `window` shorter than the
+    /// method's [`WindowDimension::min_window`], a zero `stride`, or
+    /// `stride > window` (windows must overlap or tile).
     pub fn new(method: WindowDimension, window: usize, stride: usize) -> Result<Self> {
-        if window == 0 {
-            return Err(Error::invalid("window", "must be positive"));
+        if window < method.min_window() {
+            return Err(Error::invalid(
+                "window",
+                format!("must be at least {} for {method:?}", method.min_window()),
+            ));
         }
         if stride == 0 {
             return Err(Error::invalid("stride", "must be positive"));
@@ -221,10 +234,15 @@ impl StreamingDimension {
         if stride > window {
             return Err(Error::invalid("stride", "must not exceed the window"));
         }
+        let grid = match method {
+            WindowDimension::BoxCounting => Some(BoxGrid::new(window)?),
+            WindowDimension::Variation => None,
+        };
         Ok(StreamingDimension {
             ring: RingBuffer::new(window)?,
             scratch: Vec::with_capacity(window),
             method,
+            grid,
             stride,
         })
     }
@@ -264,7 +282,10 @@ impl StreamingDimension {
             return Ok(None);
         }
         self.ring.copy_to(&mut self.scratch);
-        let dimension = self.method.estimate(&self.scratch)?;
+        let dimension = match &mut self.grid {
+            Some(grid) => dimension::dimension_or_smooth(grid.estimate(&self.scratch))?,
+            None => self.method.estimate(&self.scratch)?,
+        };
         let mean = stats::mean(&self.scratch)?;
         Ok(Some(DimensionPoint {
             input_index: n - 1,
@@ -273,12 +294,10 @@ impl StreamingDimension {
         }))
     }
 
-    /// Clears the window and the emission phase (e.g. after a reboot).
+    /// Clears the window and the emission phase (e.g. after a reboot);
+    /// the grid and scratch are kept.
     pub fn reset(&mut self) {
-        let window = self.ring.capacity();
-        let method = self.method;
-        let stride = self.stride;
-        *self = StreamingDimension::new(method, window, stride).expect("parameters already valid");
+        self.ring = RingBuffer::new(self.ring.capacity()).expect("capacity already valid");
     }
 
     /// Serializes the dynamic state via [`aging_timeseries::persist`].
@@ -305,9 +324,76 @@ impl StreamingDimension {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dimension::tests::shaped_series;
     use crate::generate;
     use crate::holder::{holder_trace, HolderEstimator, IncrementConfig};
     use aging_timeseries::window::SlidingWindows;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Streaming and batch Hölder traces run one kernel: every
+        /// streaming emission, from the first full neighbourhood to the
+        /// last, is the batch trace's point bit for bit. (The batch
+        /// trace's truncated edges are pinned against the old rung loop
+        /// in `holder`'s tests.)
+        #[test]
+        fn streaming_holder_matches_batch_trace_bitwise(
+            max_lag in 4usize..=40,
+            radius_extra in 0usize..=24,
+            extra in 0usize..=200,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+        ) {
+            let radius = 2 * max_lag + radius_extra;
+            let n = (2 * radius).max(64) + extra;
+            let data = shaped_series(n, seed, shape);
+            let estimator = HolderEstimator::LocalIncrement(IncrementConfig {
+                window_radius: radius,
+                max_lag,
+                max_h: 2.0,
+            });
+            let batch = holder_trace(&data, &estimator).unwrap();
+            let mut streaming = StreamingHolder::new(radius, max_lag, 2.0).unwrap();
+            let mut online = Vec::new();
+            for &v in &data {
+                online.extend(streaming.push(v).unwrap());
+            }
+            prop_assert_eq!(online.len(), n - 2 * radius);
+            for (k, h) in online.iter().enumerate() {
+                prop_assert_eq!(h.to_bits(), batch[k + radius].to_bits(), "point {}", k);
+            }
+        }
+
+        /// The streaming grid, reused emission after emission and across
+        /// a reset, matches the batch box-counting estimate bit for bit.
+        #[test]
+        fn streaming_box_counting_matches_batch_bitwise(
+            window in 32usize..=300,
+            stride_frac in 1usize..=8,
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+        ) {
+            let stride = (window * stride_frac / 8).max(1);
+            let data = shaped_series(3 * window, seed, shape);
+            let mut dim = StreamingDimension::new(WindowDimension::BoxCounting, window, stride).unwrap();
+            for pass in 0..2 {
+                let mut emitted = 0;
+                for (i, &v) in data.iter().enumerate() {
+                    if let Some(p) = dim.push(v).unwrap() {
+                        let want = WindowDimension::BoxCounting
+                            .estimate(&data[i + 1 - window..=i])
+                            .unwrap();
+                        prop_assert_eq!(p.dimension.to_bits(), want.to_bits(), "pass {} at {}", pass, i);
+                        emitted += 1;
+                    }
+                }
+                prop_assert_eq!(emitted, (data.len() - window) / stride + 1);
+                dim.reset();
+            }
+        }
+    }
 
     fn signal(n: usize) -> Vec<f64> {
         generate::fbm(n, 0.6, 5).unwrap()
@@ -322,6 +408,28 @@ mod tests {
         assert!(StreamingDimension::new(WindowDimension::BoxCounting, 0, 1).is_err());
         assert!(StreamingDimension::new(WindowDimension::BoxCounting, 64, 0).is_err());
         assert!(StreamingDimension::new(WindowDimension::BoxCounting, 64, 65).is_err());
+        // Box-counting needs three grid levels, the variation method three
+        // radii.
+        assert!(StreamingDimension::new(WindowDimension::BoxCounting, 24, 8).is_err());
+        assert!(StreamingDimension::new(WindowDimension::BoxCounting, 31, 8).is_err());
+        assert!(StreamingDimension::new(WindowDimension::Variation, 15, 8).is_err());
+    }
+
+    #[test]
+    fn windows_at_the_method_floor_emit() {
+        let trace = signal(160);
+        for (method, window) in [
+            (WindowDimension::BoxCounting, 32),
+            (WindowDimension::Variation, 16),
+        ] {
+            assert_eq!(method.min_window(), window);
+            let mut dim = StreamingDimension::new(method, window, 8).unwrap();
+            let mut emitted = 0;
+            for &v in &trace {
+                emitted += usize::from(dim.push(v).unwrap().is_some());
+            }
+            assert_eq!(emitted, (trace.len() - window) / 8 + 1, "{method:?}");
+        }
     }
 
     #[test]
@@ -406,7 +514,7 @@ mod tests {
     fn non_finite_rejected() {
         let mut holder = StreamingHolder::new(16, 8, 2.0).unwrap();
         assert!(holder.push(f64::INFINITY).is_err());
-        let mut dim = StreamingDimension::new(WindowDimension::BoxCounting, 8, 2).unwrap();
+        let mut dim = StreamingDimension::new(WindowDimension::BoxCounting, 32, 2).unwrap();
         assert!(dim.push(f64::NAN).is_err());
     }
 }

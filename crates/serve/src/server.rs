@@ -95,6 +95,12 @@ const ENTRY_TEXT: u8 = 3;
 /// stored with expanded timestamps so replay applies the exact `f64`
 /// column the live engine saw.
 const ENTRY_COLUMN: u8 = 4;
+/// Journaled bytes per record of an [`ENTRY_BATCH`] / [`ENTRY_TEXT`]
+/// entry: machine id, counter code, time bits, value bits.
+const ENTRY_RECORD_BYTES: usize = 8 + 1 + 8 + 8;
+/// Journaled bytes per sample of an [`ENTRY_COLUMN`] entry: time and
+/// value bits.
+const ENTRY_SAMPLE_BYTES: usize = 8 + 8;
 /// Version byte leading every engine snapshot blob.
 const SNAPSHOT_VERSION: u8 = 1;
 
@@ -647,7 +653,7 @@ impl Engine {
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
-        let mut payload = Vec::with_capacity(5 + records.len() * 25);
+        let mut payload = Vec::with_capacity(5 + records.len() * ENTRY_RECORD_BYTES);
         persist::put_u8(&mut payload, kind);
         persist::put_u32(&mut payload, records.len() as u32);
         for rec in records {
@@ -676,7 +682,7 @@ impl Engine {
             return Ok(());
         };
         let n = times.len().min(values.len());
-        let mut payload = Vec::with_capacity(14 + n * 16);
+        let mut payload = Vec::with_capacity(14 + n * ENTRY_SAMPLE_BYTES);
         persist::put_u8(&mut payload, ENTRY_COLUMN);
         persist::put_u64(&mut payload, machine_id);
         persist::put_u8(&mut payload, counter);
@@ -856,12 +862,27 @@ impl Engine {
         fn ps<T>(r: Result<T>) -> std::result::Result<T, String> {
             r.map_err(|e| e.to_string())
         }
+        // A declared count is checked against the bytes left before
+        // anything is allocated for it: a CRC-valid entry may still lie.
+        fn count(
+            r: &mut persist::Reader<'_>,
+            bytes_each: usize,
+        ) -> std::result::Result<usize, String> {
+            let n = ps(r.u32())? as usize;
+            if n > r.remaining() / bytes_each {
+                return Err(format!(
+                    "entry declares {n} records but holds {} bytes",
+                    r.remaining()
+                ));
+            }
+            Ok(n)
+        }
         let mut r = persist::Reader::new(payload);
         let kind = ps(r.u8())?;
         match kind {
             ENTRY_BATCH | ENTRY_TEXT => {
-                let n = ps(r.u32())?;
-                let mut records = Vec::with_capacity(n as usize);
+                let n = count(&mut r, ENTRY_RECORD_BYTES)?;
+                let mut records = Vec::with_capacity(n);
                 for _ in 0..n {
                     let machine_id = ps(r.u64())?;
                     let counter = ps(r.u8())?;
@@ -880,7 +901,7 @@ impl Engine {
             ENTRY_COLUMN => {
                 let machine_id = ps(r.u64())?;
                 let counter = ps(r.u8())?;
-                let n = ps(r.u32())? as usize;
+                let n = count(&mut r, ENTRY_SAMPLE_BYTES)?;
                 let mut times = Vec::with_capacity(n);
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {

@@ -12,6 +12,10 @@
 //! - `HolderDimensionDetector::push` once its baseline has frozen,
 //!   emissions included — and the push that freezes it must free the
 //!   baseline formation buffers,
+//! - `HolderDimensionDetector::push` right after `restore_state` and
+//!   right after `reset`, emissions included: the lag ladder and the
+//!   box-counting grid come from the config, never from the state blob,
+//!   and a reset keeps them,
 //! - `StreamingHolder::push` including emissions,
 //! - `StreamingDimension::push` (both window methods) including
 //!   emissions,
@@ -28,7 +32,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use aging_core::baseline::{AgingPredictor, SenSlopePredictor, TrendPredictorConfig};
-use aging_core::detector::{DetectorConfig, HolderDimensionDetector};
+use aging_core::detector::{analyze, DetectorConfig, HolderDimensionDetector};
 use aging_core::fusion::FusionRule;
 use aging_fractal::spectrum::{SpectrumConfig, StreamingSpectrum};
 use aging_fractal::streaming::{StreamingDimension, StreamingHolder, WindowDimension};
@@ -36,6 +40,7 @@ use aging_memsim::Counter;
 use aging_par::Pool;
 use aging_stream::pipeline::{CounterDetector, MachinePipeline, PipelineEvent};
 use aging_stream::{DetectorSpec, GateConfig};
+use aging_timeseries::persist::Reader;
 
 struct CountingAlloc;
 
@@ -283,6 +288,65 @@ fn holder_detector_after_baseline_stays_allocation_free() {
     );
 }
 
+/// A restored or reset Hölder detector builds its lag ladder and
+/// box-counting grid from its config, never from the state blob, so its
+/// emissions right after `restore_state` and right after `reset` allocate
+/// nothing, as after warm-up.
+fn holder_detector_after_restore_and_reset_stays_allocation_free() {
+    let config = DetectorConfig {
+        skip_windows: 6,
+        ..DetectorConfig::default()
+    };
+    let data: Vec<f64> = noise(1600).iter().map(|v| 1e6 + 4096.0 * v).collect();
+    let mut det = HolderDimensionDetector::new(config.clone()).unwrap();
+    let mut fed = 0;
+    while det.baseline().is_none() {
+        det.push(data[fed]).unwrap();
+        fed += 1;
+    }
+    let mut blob = Vec::new();
+    det.encode_state(&mut blob);
+
+    // Restored with full rings: every stride of pushes emits.
+    let mut restored = HolderDimensionDetector::new(config.clone()).unwrap();
+    restored.restore_state(&mut Reader::new(&blob)).unwrap();
+    let measured = &data[fed..fed + 4 * config.dimension_stride];
+    let (delta, ()) = counted(|| {
+        for &v in measured {
+            restored.push(v).unwrap();
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "HolderDimensionDetector push after restore_state allocated {delta} times"
+    );
+    for &v in measured {
+        det.push(v).unwrap();
+    }
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    det.encode_state(&mut a);
+    restored.encode_state(&mut b);
+    assert_eq!(a, b, "the restored detector diverged from its source");
+
+    // Reset: the rings refill and the skipped warm-up windows emit,
+    // before baseline formation starts buffering.
+    restored.reset();
+    let quiet = &data[..2 * config.holder_radius
+        + config.dimension_window
+        + (config.skip_windows - 1) * config.dimension_stride];
+    let (delta, ()) = counted(|| {
+        for &v in quiet {
+            restored.push(v).unwrap();
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "HolderDimensionDetector push after reset allocated {delta} times"
+    );
+    let emitted = analyze(quiet, &config).unwrap().dimension_trace.len();
+    assert_eq!(emitted, config.skip_windows, "the reset detector must emit");
+}
+
 /// Streaming Hölder pushes — including per-push emissions once the ring
 /// is full — must not allocate.
 fn streaming_holder_stays_allocation_free() {
@@ -367,6 +431,7 @@ fn steady_state_hot_paths_do_not_allocate() {
     trend_pipeline_stays_allocation_free();
     holder_trend_pipeline_stays_allocation_free();
     holder_detector_after_baseline_stays_allocation_free();
+    holder_detector_after_restore_and_reset_stays_allocation_free();
     streaming_holder_stays_allocation_free();
     streaming_dimension_stays_allocation_free(WindowDimension::BoxCounting);
     streaming_dimension_stays_allocation_free(WindowDimension::Variation);
