@@ -37,6 +37,18 @@ AGING_THREADS=4 cargo test --workspace --quiet
 echo "==> perfbench build + tests"
 cargo test --offline --manifest-path perfbench/Cargo.toml --quiet
 
+# The E14 and E15 wire differentials: a real loopback server's alarm
+# history must be byte-identical to the offline supervisor's (E14), and a
+# memory-only run, a journaled run and a server rebuilt from that
+# journal after a graceful shutdown must agree byte for byte, with the
+# journal costing < 20 % of throughput (E15).
+echo "==> repro e14 e15 wire and journal differentials (quick)"
+if [ "$quick" = "quick" ]; then
+    cargo run -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e14 e15
+else
+    cargo run --release -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e14 e15
+fi
+
 # The E17 differential: Δα(t) drifts upward on aging memsim runs and stays
 # flat on healthy controls, with streaming-vs-batch parity checked inside
 # the experiment at pool sizes 1 and 4 (crates/bench/src/experiments.rs).

@@ -533,8 +533,8 @@ impl ServeClient {
 
     /// Decodes frames already buffered locally without blocking.
     fn drain_ready(&mut self) -> Result<()> {
-        while let Some(payload) = self.dec.next_payload().map_err(corrupt_err)? {
-            let frame = Frame::decode_payload(&payload).map_err(Error::Io)?;
+        while let Some(payload) = self.dec.next_payload_ref().map_err(corrupt_err)? {
+            let frame = Frame::decode_payload(payload).map_err(Error::Io)?;
             self.absorb(frame)?;
         }
         Ok(())
@@ -544,8 +544,8 @@ impl ServeClient {
     fn pump_one(&mut self) -> Result<()> {
         let deadline = Instant::now() + Duration::from_millis(CLIENT_REPLY_TIMEOUT_MS);
         loop {
-            while let Some(payload) = self.dec.next_payload().map_err(corrupt_err)? {
-                let frame = Frame::decode_payload(&payload).map_err(Error::Io)?;
+            while let Some(payload) = self.dec.next_payload_ref().map_err(corrupt_err)? {
+                let frame = Frame::decode_payload(payload).map_err(Error::Io)?;
                 if self.absorb(frame)? {
                     return Ok(());
                 }
@@ -559,8 +559,8 @@ impl ServeClient {
     fn recv_reply(&mut self) -> Result<Frame> {
         let deadline = Instant::now() + Duration::from_millis(CLIENT_REPLY_TIMEOUT_MS);
         loop {
-            while let Some(payload) = self.dec.next_payload().map_err(corrupt_err)? {
-                let frame = Frame::decode_payload(&payload).map_err(Error::Io)?;
+            while let Some(payload) = self.dec.next_payload_ref().map_err(corrupt_err)? {
+                let frame = Frame::decode_payload(payload).map_err(Error::Io)?;
                 match frame {
                     Frame::Ack { .. } | Frame::Busy { .. } => {
                         self.absorb(frame)?;

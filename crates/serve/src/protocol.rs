@@ -331,40 +331,10 @@ const TAG_SPECTRUM_REPLY: u8 = 0x12;
 const TAG_QUERY_REJUV: u8 = 0x13;
 const TAG_REJUV_REPLY: u8 = 0x14;
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected)
-// ---------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE, reflected) of `data` — the per-frame checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// CRC-32 (IEEE, reflected) — the per-frame checksum. The journal's
+/// [`aging_store`] implementation is the one copy: wire frames and
+/// journal entries are checked by the same code.
+pub use aging_store::crc32;
 
 // ---------------------------------------------------------------------------
 // Counter / enum codes
@@ -1042,28 +1012,36 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Serialises a frame's full on-wire form into a reused buffer (cleared
-/// first) — the allocation-free form of [`encode_frame`]. The payload is
-/// written in place after a length placeholder, so no intermediate
-/// payload buffer exists even for large batches.
+/// first) — the allocation-free form of [`encode_frame`].
 pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
-    begin_frame(out);
-    frame.put_payload(out);
-    finish_frame(out);
-}
-
-/// Starts an in-place frame: clears `out` and reserves the length
-/// prefix.
-fn begin_frame(out: &mut Vec<u8>) {
     out.clear();
-    out.extend_from_slice(&[0u8; 4]);
+    append_frame(frame, out);
 }
 
-/// Completes an in-place frame: patches the length prefix and appends
-/// the payload CRC.
-fn finish_frame(out: &mut Vec<u8>) {
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    let crc = crc32(&out[4..]);
+/// Appends a frame's full on-wire form to `out`, keeping what is already
+/// there — how a sender queues several frames for one socket write. The
+/// payload is written in place after a length placeholder, so no
+/// intermediate payload buffer exists even for large batches.
+pub(crate) fn append_frame(frame: &Frame, out: &mut Vec<u8>) {
+    let start = begin_frame(out);
+    frame.put_payload(out);
+    finish_frame(out, start);
+}
+
+/// Starts an in-place frame at the end of `out` by reserving its length
+/// prefix; returns the frame's start offset.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    start
+}
+
+/// Completes the in-place frame that starts at `start`: patches its
+/// length prefix and appends the payload CRC.
+fn finish_frame(out: &mut Vec<u8>, start: usize) {
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start + 4..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
@@ -1072,7 +1050,8 @@ fn finish_frame(out: &mut Vec<u8>) {
 /// path. `out` is cleared first; records beyond the count field's
 /// `u16::MAX` ceiling are dropped, matching [`Frame::encode_payload`].
 pub fn encode_batch_frame_into(seq: u64, records: &[Record], out: &mut Vec<u8>) {
-    begin_frame(out);
+    out.clear();
+    let start = begin_frame(out);
     out.push(TAG_BATCH);
     out.extend_from_slice(&seq.to_le_bytes());
     let n = records.len().min(usize::from(u16::MAX));
@@ -1083,7 +1062,7 @@ pub fn encode_batch_frame_into(seq: u64, records: &[Record], out: &mut Vec<u8>) 
         out.extend_from_slice(&rec.time_secs.to_bits().to_le_bytes());
         out.extend_from_slice(&rec.value.to_bits().to_le_bytes());
     }
-    finish_frame(out);
+    finish_frame(out, start);
 }
 
 /// Encodes a [`Frame::BatchColumnar`]'s full on-wire form directly from
@@ -1113,7 +1092,8 @@ pub fn encode_columnar_frame_into(
     if n > usize::from(u16::MAX) {
         return Err(format!("column of {n} records exceeds the u16 count"));
     }
-    begin_frame(out);
+    out.clear();
+    let start = begin_frame(out);
     out.push(TAG_BATCH_COLUMNAR);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&machine_id.to_le_bytes());
@@ -1132,7 +1112,7 @@ pub fn encode_columnar_frame_into(
     for v in &values[..n] {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    finish_frame(out);
+    finish_frame(out, start);
     Ok(())
 }
 
@@ -1140,13 +1120,6 @@ pub fn encode_columnar_frame_into(
 mod tests {
     use super::*;
     use aging_core::detector::Trigger;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn counter_codes_round_trip() {

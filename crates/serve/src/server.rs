@@ -12,7 +12,10 @@
 //!
 //! Each connection gets its own session thread; the only shared state is
 //! the engine behind one mutex, entered per *batch* (not per byte), so a
-//! slow or stalled peer never blocks another session's socket I/O.
+//! slow or stalled peer never blocks another session's socket I/O. A
+//! binary session queues its replies and writes everything one read
+//! brought in with a single write before it reads again; an ack is
+//! queued only once its batch is applied and journaled.
 //!
 //! # Watermarked history
 //!
@@ -79,8 +82,8 @@ use aging_stream::sink::IngestSink;
 
 use crate::codec::{parse_text_line, FrameDecoder, TextCommand};
 use crate::protocol::{
-    counter_code, counter_from_code, decode_event, decode_events, encode_event, encode_events,
-    encode_frame, expand_column_times, Frame, Reader as EventReader, Record, ServeEvent,
+    append_frame, counter_code, counter_from_code, decode_event, decode_events, encode_event,
+    encode_events, expand_column_times, Frame, Reader as EventReader, Record, ServeEvent,
     DEFAULT_MAX_FRAME, ERR_MALFORMED, ERR_QUARANTINED, ERR_STORE, ERR_VERSION, PROTOCOL_VERSION,
     PROTOCOL_VERSION_V2, TEXT_PREAMBLE,
 };
@@ -1435,8 +1438,50 @@ fn session_thread(shared: &Arc<Shared>, stream: &TcpStream, session_id: u64) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn send_frame(mut stream: &TcpStream, frame: &Frame) -> std::io::Result<()> {
-    stream.write_all(&encode_frame(frame))
+/// Bytes a binary session's [`Outbox`] may hold before it is written in
+/// the middle of a read burst.
+const OUTBOX_FLUSH_BYTES: usize = 64 * 1024;
+
+/// A binary session's replies, queued in wire order and written with one
+/// `write_all` per read burst.
+///
+/// Every frame the session sends is appended here, encoded in place.
+/// The session writes the outbox before each blocking read, so a client
+/// waiting on a reply never waits on the server's next read, and once
+/// more when it ends, whatever the reason. The outbox also writes itself
+/// as soon as it holds [`OUTBOX_FLUSH_BYTES`], which bounds its memory
+/// by that plus one frame.
+struct Outbox<W: Write> {
+    out: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Outbox<W> {
+    fn new(out: W) -> Self {
+        Outbox {
+            out,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Queues one frame behind those already queued.
+    fn push(&mut self, frame: &Frame) {
+        append_frame(frame, &mut self.buf);
+        if self.buf.len() >= OUTBOX_FLUSH_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Writes everything queued and empties the outbox, whether or not
+    /// the write succeeded: a failed write means the peer is gone or has
+    /// not read for the whole write timeout, and the session never
+    /// retries a reply.
+    fn flush(&mut self) {
+        if !self.buf.is_empty() {
+            let _ = self.out.write_all(&self.buf);
+            self.buf.clear();
+        }
+    }
 }
 
 fn send_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
@@ -1541,11 +1586,30 @@ fn run_binary_session(
     initial: &[u8],
     buf: &mut [u8],
 ) -> SessionEnd {
+    let mut outbox = Outbox::new(stream);
+    let end = serve_frames(shared, stream, &mut outbox, session_id, initial, buf);
+    // Every way out of the loop — quarantine, `Bye`, abort, EOF, stall —
+    // still delivers the replies queued before it.
+    outbox.flush();
+    end
+}
+
+/// The binary session loop: decodes every complete frame a read brought
+/// in, queues the replies in `outbox`, and writes them before blocking on
+/// the next read.
+fn serve_frames(
+    shared: &Arc<Shared>,
+    stream: &TcpStream,
+    outbox: &mut Outbox<&TcpStream>,
+    session_id: u64,
+    initial: &[u8],
+    buf: &mut [u8],
+) -> SessionEnd {
     let cfg = &shared.cfg;
     let stall = Duration::from_millis(cfg.stall_timeout_ms.max(1));
     let mut dec = FrameDecoder::new(cfg.max_frame_bytes);
     dec.feed(initial);
-    maybe_busy(shared, stream, &dec);
+    maybe_busy(shared, outbox, &dec);
     let mut sess = SessionState {
         version: PROTOCOL_VERSION,
         times: Vec::new(),
@@ -1558,13 +1622,10 @@ fn run_binary_session(
         loop {
             match dec.next_payload_ref() {
                 Err(corrupt) => {
-                    let _ = send_frame(
-                        stream,
-                        &Frame::Error {
-                            code: ERR_QUARANTINED,
-                            message: corrupt.reason,
-                        },
-                    );
+                    outbox.push(&Frame::Error {
+                        code: ERR_QUARANTINED,
+                        message: corrupt.reason,
+                    });
                     return SessionEnd::Quarantined { corrupt: true };
                 }
                 Ok(None) => break,
@@ -1574,48 +1635,36 @@ fn run_binary_session(
                         Err(reason) => {
                             strikes += 1;
                             shared.engine().wire.malformed_frames += 1;
-                            let _ = send_frame(
-                                stream,
-                                &Frame::Error {
-                                    code: ERR_MALFORMED,
-                                    message: reason,
-                                },
-                            );
+                            outbox.push(&Frame::Error {
+                                code: ERR_MALFORMED,
+                                message: reason,
+                            });
                             if strikes >= cfg.quarantine_after {
-                                let _ = send_frame(
-                                    stream,
-                                    &Frame::Error {
-                                        code: ERR_QUARANTINED,
-                                        message: format!("{strikes} consecutive malformed frames"),
-                                    },
-                                );
+                                outbox.push(&Frame::Error {
+                                    code: ERR_QUARANTINED,
+                                    message: format!("{strikes} consecutive malformed frames"),
+                                });
                                 return SessionEnd::Quarantined { corrupt: false };
                             }
                         }
                         Ok(frame) => {
-                            match handle_frame(shared, stream, session_id, &mut sess, frame) {
+                            match handle_frame(shared, outbox, session_id, &mut sess, frame) {
                                 FrameOutcome::Continue => strikes = 0,
                                 FrameOutcome::Close => return SessionEnd::Clean,
                                 FrameOutcome::Malformed(reason) => {
                                     strikes += 1;
                                     shared.engine().wire.malformed_frames += 1;
-                                    let _ = send_frame(
-                                        stream,
-                                        &Frame::Error {
-                                            code: ERR_MALFORMED,
-                                            message: reason,
-                                        },
-                                    );
+                                    outbox.push(&Frame::Error {
+                                        code: ERR_MALFORMED,
+                                        message: reason,
+                                    });
                                     if strikes >= cfg.quarantine_after {
-                                        let _ = send_frame(
-                                            stream,
-                                            &Frame::Error {
-                                                code: ERR_QUARANTINED,
-                                                message: format!(
-                                                    "{strikes} consecutive malformed frames"
-                                                ),
-                                            },
-                                        );
+                                        outbox.push(&Frame::Error {
+                                            code: ERR_QUARANTINED,
+                                            message: format!(
+                                                "{strikes} consecutive malformed frames"
+                                            ),
+                                        });
                                         return SessionEnd::Quarantined { corrupt: false };
                                     }
                                 }
@@ -1626,11 +1675,12 @@ fn run_binary_session(
             }
         }
 
+        outbox.flush();
         match read_some(stream, buf) {
             ReadOutcome::Data(n) => {
                 last_activity = Instant::now();
                 dec.feed(&buf[..n]);
-                maybe_busy(shared, stream, &dec);
+                maybe_busy(shared, outbox, &dec);
             }
             ReadOutcome::Eof => {
                 // All complete frames were processed above; dying with a
@@ -1658,19 +1708,20 @@ fn run_binary_session(
     }
 }
 
-/// Sends an advisory `Busy` frame when a read burst left more complete
-/// frames buffered than the advertised credit window.
-fn maybe_busy(shared: &Arc<Shared>, stream: &TcpStream, dec: &FrameDecoder) {
+/// Queues an advisory `Busy` frame when a read burst left more complete
+/// frames buffered than the advertised credit window. It goes ahead of
+/// the burst's acks and is written with them.
+fn maybe_busy(shared: &Arc<Shared>, outbox: &mut Outbox<&TcpStream>, dec: &FrameDecoder) {
     let backlog = dec.buffered_frames();
     if backlog > u32::from(shared.cfg.window) {
-        let _ = send_frame(stream, &Frame::Busy { backlog });
+        outbox.push(&Frame::Busy { backlog });
         shared.engine().wire.busy_sent += 1;
     }
 }
 
 fn handle_frame(
     shared: &Arc<Shared>,
-    stream: &TcpStream,
+    outbox: &mut Outbox<&TcpStream>,
     session_id: u64,
     sess: &mut SessionState,
     frame: Frame,
@@ -1685,28 +1736,22 @@ fn handle_frame(
     match frame {
         Frame::Hello { version, name: _ } => {
             if version < PROTOCOL_VERSION {
-                let _ = send_frame(
-                    stream,
-                    &Frame::Error {
-                        code: ERR_VERSION,
-                        message: format!(
-                            "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION}..={PROTOCOL_VERSION_V2})"
-                        ),
-                    },
-                );
+                outbox.push(&Frame::Error {
+                    code: ERR_VERSION,
+                    message: format!(
+                        "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION}..={PROTOCOL_VERSION_V2})"
+                    ),
+                });
                 return FrameOutcome::Close;
             }
             // Negotiate down to the highest version both sides speak; a
             // future client above v2 is served at v2.
             sess.version = version.min(PROTOCOL_VERSION_V2);
-            let _ = send_frame(
-                stream,
-                &Frame::HelloAck {
-                    version: sess.version,
-                    window: cfg.window,
-                    max_frame: cfg.max_frame_bytes,
-                },
-            );
+            outbox.push(&Frame::HelloAck {
+                version: sess.version,
+                window: cfg.window,
+                max_frame: cfg.max_frame_bytes,
+            });
             FrameOutcome::Continue
         }
         Frame::Batch { seq, records } => {
@@ -1729,17 +1774,14 @@ fn handle_frame(
             };
             match outcome {
                 Ok(accepted) => {
-                    let _ = send_frame(stream, &Frame::Ack { seq, accepted });
+                    outbox.push(&Frame::Ack { seq, accepted });
                     FrameOutcome::Continue
                 }
                 Err(msg) => {
-                    let _ = send_frame(
-                        stream,
-                        &Frame::Error {
-                            code: ERR_STORE,
-                            message: format!("journal append failed: {msg}"),
-                        },
-                    );
+                    outbox.push(&Frame::Error {
+                        code: ERR_STORE,
+                        message: format!("journal append failed: {msg}"),
+                    });
                     FrameOutcome::Close
                 }
             }
@@ -1777,17 +1819,14 @@ fn handle_frame(
             };
             match outcome {
                 Ok(accepted) => {
-                    let _ = send_frame(stream, &Frame::Ack { seq, accepted });
+                    outbox.push(&Frame::Ack { seq, accepted });
                     FrameOutcome::Continue
                 }
                 Err(msg) => {
-                    let _ = send_frame(
-                        stream,
-                        &Frame::Error {
-                            code: ERR_STORE,
-                            message: format!("journal append failed: {msg}"),
-                        },
-                    );
+                    outbox.push(&Frame::Error {
+                        code: ERR_STORE,
+                        message: format!("journal append failed: {msg}"),
+                    });
                     FrameOutcome::Close
                 }
             }
@@ -1804,13 +1843,10 @@ fn handle_frame(
             match res {
                 Ok(()) => FrameOutcome::Continue,
                 Err(e) => {
-                    let _ = send_frame(
-                        stream,
-                        &Frame::Error {
-                            code: ERR_STORE,
-                            message: format!("journal append failed: {e}"),
-                        },
-                    );
+                    outbox.push(&Frame::Error {
+                        code: ERR_STORE,
+                        message: format!("journal append failed: {e}"),
+                    });
                     FrameOutcome::Close
                 }
             }
@@ -1821,7 +1857,7 @@ fn handle_frame(
                 engine.wire.queries += 1;
                 engine.status_json()
             };
-            let _ = send_frame(stream, &Frame::StatusReply { json });
+            outbox.push(&Frame::StatusReply { json });
             FrameOutcome::Continue
         }
         Frame::QueryMachine { machine_id } => {
@@ -1833,7 +1869,7 @@ fn handle_frame(
                         .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
                 })
             };
-            let _ = send_frame(stream, &Frame::MachineReply { json });
+            outbox.push(&Frame::MachineReply { json });
             FrameOutcome::Continue
         }
         Frame::QuerySpectrum { machine_id } => {
@@ -1851,14 +1887,11 @@ fn handle_frame(
                 engine.spectrum_widths(machine_id)
             };
             let known = widths.is_some();
-            let _ = send_frame(
-                stream,
-                &Frame::SpectrumReply {
-                    machine_id,
-                    known,
-                    widths: widths.unwrap_or_default(),
-                },
-            );
+            outbox.push(&Frame::SpectrumReply {
+                machine_id,
+                known,
+                widths: widths.unwrap_or_default(),
+            });
             FrameOutcome::Continue
         }
         Frame::QueryRejuv { machine_id } => {
@@ -1881,17 +1914,14 @@ fn handle_frame(
             };
             let known = advice.is_some();
             let (policy, restarts, denied, last_restart_secs) = advice.unwrap_or((0, 0, 0, None));
-            let _ = send_frame(
-                stream,
-                &Frame::RejuvReply {
-                    machine_id,
-                    known,
-                    policy,
-                    restarts,
-                    denied,
-                    last_restart_secs,
-                },
-            );
+            outbox.push(&Frame::RejuvReply {
+                machine_id,
+                known,
+                policy,
+                restarts,
+                denied,
+                last_restart_secs,
+            });
             FrameOutcome::Continue
         }
         Frame::QueryAlarms { since } => {
@@ -1906,16 +1936,13 @@ fn handle_frame(
                 let (total, events) = engine.alarms_since(since, cfg.alarm_chunk);
                 (total, engine.advertised_watermark(), events)
             };
-            let _ = send_frame(
-                stream,
-                &Frame::AlarmsReply {
-                    since,
-                    total,
-                    shard: cfg.shard_id,
-                    watermark_secs,
-                    events,
-                },
-            );
+            outbox.push(&Frame::AlarmsReply {
+                since,
+                total,
+                shard: cfg.shard_id,
+                watermark_secs,
+                events,
+            });
             FrameOutcome::Continue
         }
         Frame::Bye => {
@@ -1924,7 +1951,7 @@ fn handle_frame(
             // records produced has been released (or awaits only other
             // sessions' watermarks).
             shared.engine().session_closed(session_id);
-            let _ = send_frame(stream, &Frame::ByeAck);
+            outbox.push(&Frame::ByeAck);
             FrameOutcome::Close
         }
         // Server-to-client frames arriving at the server are protocol
@@ -1939,13 +1966,10 @@ fn handle_frame(
         | Frame::RejuvReply { .. }
         | Frame::ByeAck
         | Frame::Error { .. } => {
-            let _ = send_frame(
-                stream,
-                &Frame::Error {
-                    code: ERR_MALFORMED,
-                    message: "unexpected server-side frame".into(),
-                },
-            );
+            outbox.push(&Frame::Error {
+                code: ERR_MALFORMED,
+                message: "unexpected server-side frame".into(),
+            });
             FrameOutcome::Continue
         }
     }
@@ -2167,5 +2191,124 @@ fn handle_text(
             let _ = send_line(stream, "ok bye");
             FrameOutcome::Close
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::encode_frame;
+
+    /// A `Write` that records every call, standing in for the socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+        fail: bool,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.fail {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every kind of frame a binary session sends, `acks` acks among them.
+    fn session_replies(acks: u64) -> Vec<Frame> {
+        let mut frames = vec![
+            Frame::HelloAck {
+                version: PROTOCOL_VERSION_V2,
+                window: 32,
+                max_frame: DEFAULT_MAX_FRAME,
+            },
+            Frame::Busy { backlog: 40 },
+        ];
+        frames.extend((1..=acks).map(|seq| Frame::Ack {
+            seq,
+            accepted: (seq % 200) as u16,
+        }));
+        frames.extend([
+            Frame::StatusReply {
+                json: "{\"machines\":3}".repeat(1_000),
+            },
+            Frame::MachineReply { json: None },
+            Frame::Error {
+                code: ERR_MALFORMED,
+                message: "bad tag".into(),
+            },
+            Frame::ByeAck,
+        ]);
+        frames
+    }
+
+    /// The bytes the old one-write-per-frame path put on the wire.
+    fn per_frame_bytes(frames: &[Frame]) -> Vec<u8> {
+        frames.iter().flat_map(encode_frame).collect()
+    }
+
+    #[test]
+    fn outbox_below_the_bound_is_one_write_of_the_per_frame_bytes() {
+        let frames = session_replies(100);
+        let expected = per_frame_bytes(&frames);
+        assert!(expected.len() < OUTBOX_FLUSH_BYTES);
+        let mut sink = CountingWriter::default();
+        let mut outbox = Outbox::new(&mut sink);
+        for frame in &frames {
+            outbox.push(frame);
+        }
+        outbox.flush();
+        outbox.flush(); // nothing queued: no empty write
+        assert_eq!(sink.writes, vec![expected.len()]);
+        assert_eq!(sink.bytes, expected);
+    }
+
+    #[test]
+    fn outbox_past_the_bound_writes_in_bounded_pieces() {
+        let frames = session_replies(10_000);
+        let expected = per_frame_bytes(&frames);
+        let largest = frames.iter().map(|f| encode_frame(f).len()).max().unwrap();
+        let mut sink = CountingWriter::default();
+        let mut outbox = Outbox::new(&mut sink);
+        for frame in &frames {
+            outbox.push(frame);
+            assert!(outbox.buf.len() < OUTBOX_FLUSH_BYTES);
+        }
+        outbox.flush();
+        assert_eq!(sink.bytes, expected);
+        let (last, full) = sink.writes.split_last().unwrap();
+        assert!(full.len() >= 2, "{:?}", sink.writes);
+        for &n in full {
+            assert!((OUTBOX_FLUSH_BYTES..OUTBOX_FLUSH_BYTES + largest).contains(&n));
+        }
+        assert!(*last > 0);
+    }
+
+    #[test]
+    fn outbox_is_emptied_even_when_the_write_fails() {
+        let mut sink = CountingWriter {
+            fail: true,
+            ..CountingWriter::default()
+        };
+        let mut outbox = Outbox::new(&mut sink);
+        outbox.push(&Frame::Ack {
+            seq: 1,
+            accepted: 4,
+        });
+        outbox.flush();
+        assert!(outbox.buf.is_empty());
+        outbox.out.fail = false;
+        outbox.push(&Frame::ByeAck);
+        outbox.flush();
+        assert_eq!(sink.bytes, encode_frame(&Frame::ByeAck));
+        assert_eq!(sink.writes.len(), 1);
     }
 }

@@ -126,14 +126,16 @@ fn io_err(path: &Path, what: &str, e: &std::io::Error) -> StoreError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — the store is dependency-free, so it carries
-// its own copy of the same table-driven implementation the serve wire
-// protocol uses; the `crc_matches_serve_protocol` test in aging-serve
-// pins the two together.
+// CRC32 (IEEE, reflected) — the one implementation in the workspace: the
+// serve wire codec re-exports it, so journal entries and wire frames are
+// checked by the same code.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time table
+/// and `CRC_TABLES[k][i]` is the CRC state of byte `i` followed by `k`
+/// zero bytes, so eight table lookups advance the CRC by eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -146,17 +148,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`.
+/// CRC-32 (IEEE 802.3, reflected) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -623,6 +649,7 @@ fn scan_journal(path: &Path, applied_through: u64, max_entry_bytes: u32) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A scratch directory wiped on drop.
     struct TempDir(PathBuf);
@@ -652,11 +679,37 @@ mod tests {
         Store::open(StoreConfig::new(dir)).expect("open store")
     }
 
+    /// The byte-at-a-time CRC the slice-by-8 kernel must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc_reference_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn crc_matches_the_bytewise_oracle(
+            bytes in prop::collection::vec(0u8..=255, 0..=4096),
+            offset in 0usize..8,
+        ) {
+            // The same bytes at every start offset within an eight-byte
+            // step of the allocation.
+            let mut buf = vec![0xa5u8; offset];
+            buf.extend_from_slice(&bytes);
+            let data = &buf[offset..];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data));
+        }
     }
 
     #[test]
