@@ -15,6 +15,15 @@ else
     cargo build --workspace --all-targets --release
 fi
 
+# aging-store holds the journal and the one frame layout the wire shares;
+# its docs and DESIGN.md promise it depends on nothing but std.
+echo "==> aging-store has no dependencies"
+store_tree=$(cargo tree --offline -p aging-store -e normal --prefix none)
+if printf '%s\n' "$store_tree" | grep -qv '^aging-store '; then
+    printf 'aging-store must depend on nothing:\n%s\n' "$store_tree"
+    exit 1
+fi
+
 # The parallel engine must behave identically at any thread count: run the
 # suite once pinned to a single worker and once with a multi-thread pool.
 echo "==> cargo test (AGING_THREADS=1)"

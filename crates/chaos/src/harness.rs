@@ -80,7 +80,7 @@ impl Drop for ChaosPerturber {
 /// Builds a supervisor perturber factory from a plan, plus the shared
 /// totals it reports into.
 ///
-/// Stream keys are `(machine_index << 8) | counter_index`, so every
+/// Stream keys are `(machine_index << 8) | counter code`, so every
 /// `(machine, counter)` stream draws an independent, individually
 /// reproducible fault sequence regardless of sharding.
 ///
@@ -93,11 +93,7 @@ pub fn fleet_perturber(plan: &ChaosPlan) -> Result<(PerturberFactory, InjectionT
     let plan = plan.clone();
     let shared = totals.clone();
     let factory: PerturberFactory = Arc::new(move |machine_index, counter: Counter| {
-        let counter_index = Counter::ALL
-            .iter()
-            .position(|&c| c == counter)
-            .unwrap_or(Counter::ALL.len()) as u64;
-        let key = ((machine_index as u64) << 8) | counter_index;
+        let key = ((machine_index as u64) << 8) | u64::from(counter.code());
         Box::new(ChaosPerturber {
             engine: ChaosEngine::new(&plan, key),
             totals: shared.clone(),

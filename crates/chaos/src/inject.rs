@@ -92,7 +92,7 @@ impl ChaosEngine {
     /// Builds the engine for one stream.
     ///
     /// `stream_key` distinguishes streams sharing a plan (e.g.
-    /// `(machine_index << 8) | counter_index` in a fleet); the generator
+    /// `(machine_index << 8) | counter code` in a fleet); the generator
     /// seed is a mix of the plan seed and the key.
     pub fn new(plan: &ChaosPlan, stream_key: u64) -> Self {
         let seed = plan

@@ -19,9 +19,9 @@ use aging_timeseries::{Error, Result};
 
 use crate::codec::FrameDecoder;
 use crate::protocol::{
-    columnar_spans, counter_code, counter_from_code, encode_batch_frame_into,
-    encode_columnar_frame_into, encode_frame_into, Frame, Record, ServeEvent, COLUMN_HEADER_BYTES,
-    COLUMN_RECORD_BYTES, PROTOCOL_VERSION, PROTOCOL_VERSION_V2, RECORD_BYTES,
+    columnar_spans, encode_batch_frame_into, encode_columnar_frame_into, encode_frame_into, Frame,
+    Record, ServeEvent, COLUMN_HEADER_BYTES, COLUMN_RECORD_BYTES, PROTOCOL_VERSION,
+    PROTOCOL_VERSION_V2, RECORD_BYTES,
 };
 use crate::server::ServeStatus;
 
@@ -389,7 +389,7 @@ impl ServeClient {
                 }
                 let mut decoded = Vec::with_capacity(widths.len());
                 for (code, width) in widths {
-                    let counter = counter_from_code(code).ok_or_else(|| {
+                    let counter = Counter::from_code(code).ok_or_else(|| {
                         Error::Io(format!("bad counter code {code} in spectrum reply"))
                     })?;
                     decoded.push((counter, width));
@@ -616,7 +616,7 @@ impl IngestSink for ServeClient {
     ) -> Result<()> {
         self.send_batch(&[Record {
             machine_id,
-            counter: counter_code(counter),
+            counter: counter.code(),
             time_secs,
             value,
         }])
@@ -630,7 +630,7 @@ impl IngestSink for ServeClient {
         times: &[f64],
         values: &[f64],
     ) -> Result<()> {
-        self.send_column(machine_id, counter_code(counter), times, values)
+        self.send_column(machine_id, counter.code(), times, values)
             .map(|_frames| ())
     }
 

@@ -2,8 +2,10 @@
 //!
 //! [`FrameDecoder`] turns an arbitrary byte stream — fed in whatever
 //! chunks the socket produced — into complete, CRC-verified frame
-//! payloads. It distinguishes two failure classes with different session
-//! consequences (see the [`crate::protocol`] module docs):
+//! payloads. The frame layout itself (header scan, CRC check) is
+//! [`aging_store`]'s, shared with the journal. The decoder distinguishes
+//! two failure classes with different session consequences (see the
+//! [`crate::protocol`] module docs):
 //!
 //! - [`CorruptStream`]: the *framing* is untrustworthy (zero/oversized
 //!   length prefix, CRC mismatch). No later byte boundary can be
@@ -12,7 +14,8 @@
 //!   malformed but *consumable* — the stream stays in sync and the
 //!   session counts a strike instead of dropping the client.
 
-use crate::protocol;
+use aging_memsim::Counter;
+use aging_store::{frame_head, frame_payload, FrameHead};
 
 /// Framing integrity lost: the byte stream can no longer be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,14 +31,6 @@ impl std::fmt::Display for CorruptStream {
 }
 
 impl std::error::Error for CorruptStream {}
-
-/// Whole-frame byte span (`4 + len + 4`) for a payload of `len` bytes,
-/// or `None` when the sum overflows the host `usize` — reachable on
-/// 32-bit targets when `max_frame` is configured near `u32::MAX`. An
-/// unrepresentable span must corrupt the stream, not panic the session.
-fn frame_span(len: u32) -> Option<usize> {
-    usize::try_from(len).ok().and_then(|n| n.checked_add(8))
-}
 
 /// Incremental decoder for the length-prefixed CRC-checked framing.
 #[derive(Debug)]
@@ -95,38 +90,48 @@ impl FrameDecoder {
                 reason: "stream already corrupt".into(),
             });
         }
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let head = &self.buf[self.pos..];
-        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        if len == 0 || len > self.max_frame {
-            self.corrupt = true;
-            return Err(CorruptStream {
-                reason: format!("length prefix {len} outside 1..={}", self.max_frame),
-            });
-        }
-        let Some(need) = frame_span(len) else {
-            self.corrupt = true;
-            return Err(CorruptStream {
-                reason: format!("length prefix {len} unaddressable on this target"),
-            });
+        let rest = &self.buf[self.pos..];
+        let reason = match frame_head(rest, 1, self.max_frame) {
+            FrameHead::Partial => return Ok(None),
+            FrameHead::Whole { span } => match frame_payload(&rest[..span]) {
+                Ok(payload) => {
+                    self.pos += span;
+                    return Ok(Some(payload));
+                }
+                Err(crc) => format!(
+                    "CRC mismatch: frame says {:#010x}, payload is {:#010x}",
+                    crc.stored, crc.actual
+                ),
+            },
+            // In bounds yet rejected: the span overflows this target's
+            // `usize` (a 32-bit host with `max_frame` near `u32::MAX`).
+            FrameHead::BadLength(len) if (1..=self.max_frame).contains(&len) => {
+                format!("length prefix {len} unaddressable on this target")
+            }
+            FrameHead::BadLength(len) => {
+                format!("length prefix {len} outside 1..={}", self.max_frame)
+            }
         };
-        if avail < need {
-            return Ok(None);
+        self.corrupt = true;
+        Err(CorruptStream { reason })
+    }
+
+    /// Walks the whole frames buffered past the read position by their
+    /// headers alone — no CRC is computed, so this is cheap enough to run
+    /// after every read. Returns how many there are and the header of
+    /// what follows them.
+    fn walk(&self) -> (u32, FrameHead, &[u8]) {
+        let mut rest = &self.buf[self.pos..];
+        let mut count = 0u32;
+        loop {
+            match frame_head(rest, 1, self.max_frame) {
+                FrameHead::Whole { span } => {
+                    count += 1;
+                    rest = &rest[span..];
+                }
+                head => return (count, head, rest),
+            }
         }
-        let payload_range = self.pos + 4..self.pos + 4 + len as usize;
-        let crc = u32::from_le_bytes(head[4 + len as usize..need].try_into().expect("4 bytes"));
-        let actual = protocol::crc32(&self.buf[payload_range.clone()]);
-        if crc != actual {
-            self.corrupt = true;
-            return Err(CorruptStream {
-                reason: format!("CRC mismatch: frame says {crc:#010x}, payload is {actual:#010x}"),
-            });
-        }
-        self.pos += need;
-        Ok(Some(&self.buf[payload_range]))
     }
 
     /// Number of complete frames currently sitting undecoded in the
@@ -135,53 +140,16 @@ impl FrameDecoder {
         if self.corrupt {
             return 0;
         }
-        let mut count = 0u32;
-        let mut pos = self.pos;
-        loop {
-            if self.buf.len() - pos < 4 {
-                return count;
-            }
-            let len = u32::from_le_bytes(self.buf[pos..pos + 4].try_into().expect("4 bytes"));
-            if len == 0 || len > self.max_frame {
-                return count;
-            }
-            let Some(need) = frame_span(len) else {
-                return count; // corrupt, not buffered
-            };
-            if self.buf.len() - pos < need {
-                return count;
-            }
-            count += 1;
-            pos += need;
-        }
+        self.walk().0
     }
 
     /// Whether a frame has been started but not completed (bytes are
     /// buffered past the last complete frame). At EOF this means the
-    /// peer died mid-frame — a truncation.
+    /// peer died mid-frame — a truncation. A bad length prefix is
+    /// corruption, not truncation; `next_payload` reports it.
     pub fn mid_frame(&self) -> bool {
-        let mut pos = self.pos;
-        loop {
-            let avail = self.buf.len() - pos;
-            if avail == 0 {
-                return false;
-            }
-            if avail < 4 {
-                return true;
-            }
-            let len = u32::from_le_bytes(self.buf[pos..pos + 4].try_into().expect("4 bytes"));
-            if len == 0 || len > self.max_frame {
-                // Corrupt, not truncated; next_payload will report it.
-                return false;
-            }
-            let Some(need) = frame_span(len) else {
-                return false; // corrupt, not truncated
-            };
-            if avail < need {
-                return true;
-            }
-            pos += need;
-        }
+        let (_, head, rest) = self.walk();
+        head == FrameHead::Partial && !rest.is_empty()
     }
 
     /// Whether the decoder has entered the unrecoverable corrupt state.
@@ -257,11 +225,9 @@ pub fn parse_text_line(line: &str) -> Result<TextCommand, String> {
                 .parse::<u64>()
                 .map_err(|e| format!("bad machine_id: {e}"))?;
             let counter_name = arg("counter")?;
-            let counter = aging_memsim::Counter::ALL
-                .iter()
-                .position(|c| c.to_string() == counter_name)
+            let counter = Counter::from_name(counter_name)
                 .ok_or(format!("unknown counter {counter_name:?}"))?
-                as u8;
+                .code();
             let time_secs = arg("t_secs")?
                 .parse::<f64>()
                 .map_err(|e| format!("bad t_secs: {e}"))?;

@@ -28,7 +28,7 @@ use aging_stream::telemetry::LatencyHistogram;
 use aging_timeseries::{Error, Result};
 
 use crate::client::ServeClient;
-use crate::protocol::{counter_code, Record, ServeEvent};
+use crate::protocol::{Record, ServeEvent};
 
 /// How the feeders frame records on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -212,7 +212,7 @@ impl ScenarioFeeder {
         for &counter in counters {
             out.push(Record {
                 machine_id: self.machine_id,
-                counter: counter_code(counter),
+                counter: counter.code(),
                 time_secs,
                 value: sample.value(counter),
             });
@@ -452,7 +452,7 @@ fn feed_worker_record(
                 for (counter, column) in counters.iter().zip(&feed.columns) {
                     batch.push(Record {
                         machine_id: feed.machine_id,
-                        counter: counter_code(*counter),
+                        counter: counter.code(),
                         time_secs,
                         value: column[cursor],
                     });
@@ -584,7 +584,7 @@ fn feed_worker_columnar(
             for (counter, column) in counters.iter().zip(&feed.columns) {
                 batches += client.send_column(
                     feed.machine_id,
-                    counter_code(*counter),
+                    counter.code(),
                     times,
                     &column[cursor..end],
                 )?;

@@ -67,14 +67,15 @@ use std::time::{Duration, Instant};
 use aging_core::detector::AlertLevel;
 use aging_core::fusion::FusionRule;
 use aging_rejuv::{RejuvConfig, RejuvController, RejuvPolicy, RestartReason, RestartRequest};
-use aging_store::{Recovery, Store, StoreConfig};
+use aging_store::{Recovery, Store, StoreConfig, StoreError};
 use aging_stream::gate::GateConfig;
 use aging_stream::merge::{MergeKey, WatermarkMerger};
 use aging_stream::pipeline::{MachinePipeline, PipelineEvent};
 use aging_stream::source::StreamSample;
 use aging_stream::supervisor::{AlarmKind, CounterDetector, FleetConfig};
 use aging_stream::telemetry::{LatencyHistogram, MachineSnapshot, Snapshot, StageCounters};
-use aging_timeseries::{persist, Error, Result};
+use aging_timeseries::persist::{self, Reader};
+use aging_timeseries::{Error, Result};
 use serde::{Deserialize, Serialize};
 
 use aging_memsim::Counter;
@@ -82,10 +83,9 @@ use aging_stream::sink::IngestSink;
 
 use crate::codec::{parse_text_line, FrameDecoder, TextCommand};
 use crate::protocol::{
-    append_frame, counter_code, counter_from_code, decode_event, decode_events, encode_event,
-    encode_events, expand_column_times, Frame, Reader as EventReader, Record, ServeEvent,
-    DEFAULT_MAX_FRAME, ERR_MALFORMED, ERR_QUARANTINED, ERR_STORE, ERR_VERSION, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_V2, TEXT_PREAMBLE,
+    append_frame, decode_event, encode_event, encode_events, expand_column_times, read_events,
+    Frame, Record, ServeEvent, DEFAULT_MAX_FRAME, ERR_MALFORMED, ERR_QUARANTINED, ERR_STORE,
+    ERR_VERSION, PROTOCOL_VERSION, PROTOCOL_VERSION_V2, RECORD_BYTES, TEXT_PREAMBLE,
 };
 
 /// Journal entry kind: a binary [`Frame::Batch`] (replay counts a batch).
@@ -98,9 +98,6 @@ const ENTRY_TEXT: u8 = 3;
 /// stored with expanded timestamps so replay applies the exact `f64`
 /// column the live engine saw.
 const ENTRY_COLUMN: u8 = 4;
-/// Journaled bytes per record of an [`ENTRY_BATCH`] / [`ENTRY_TEXT`]
-/// entry: machine id, counter code, time bits, value bits.
-const ENTRY_RECORD_BYTES: usize = 8 + 1 + 8 + 8;
 /// Journaled bytes per sample of an [`ENTRY_COLUMN`] entry: time and
 /// value bits.
 const ENTRY_SAMPLE_BYTES: usize = 8 + 8;
@@ -400,6 +397,28 @@ pub struct WireCounters {
     pub queries: u64,
 }
 
+impl WireCounters {
+    /// Every counter, in the order an engine snapshot stores them.
+    fn fields_mut(&mut self) -> [&mut u64; 14] {
+        [
+            &mut self.connections,
+            &mut self.sessions_closed,
+            &mut self.text_sessions,
+            &mut self.frames,
+            &mut self.batches,
+            &mut self.records,
+            &mut self.records_rejected,
+            &mut self.acks_sent,
+            &mut self.busy_sent,
+            &mut self.malformed_frames,
+            &mut self.corrupt_streams,
+            &mut self.quarantined,
+            &mut self.session_panics,
+            &mut self.queries,
+        ]
+    }
+}
+
 /// The JSON document answering a status query: wire counters plus the
 /// same fleet [`Snapshot`] schema the in-process supervisor dumps.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -544,7 +563,7 @@ impl Engine {
     /// Feeds one record; `false` when it was rejected (unknown counter
     /// code). Creates the machine's pipeline on first contact.
     fn ingest(&mut self, session: u64, rec: Record) -> bool {
-        let Some(counter) = counter_from_code(rec.counter) else {
+        let Some(counter) = Counter::from_code(rec.counter) else {
             self.wire.records_rejected += 1;
             return false;
         };
@@ -578,7 +597,7 @@ impl Engine {
         self.wire.batches += 1;
         let n = times.len().min(values.len());
         self.wire.records += n as u64;
-        let Some(counter) = counter_from_code(counter) else {
+        let Some(counter) = Counter::from_code(counter) else {
             self.wire.records_rejected += n as u64;
             self.release();
             return 0;
@@ -622,11 +641,6 @@ impl Engine {
         self.release();
     }
 
-    fn machine_done(&mut self, machine_id: u64) -> aging_store::Result<()> {
-        self.apply_finish(machine_id);
-        self.persist_finish(machine_id)
-    }
-
     /// Finishes every machine the closing session was feeding, so a dead
     /// client cannot hold the global watermark hostage.
     fn session_closed(&mut self, session: u64) {
@@ -648,55 +662,76 @@ impl Engine {
         self.release();
     }
 
-    // -- persistence ------------------------------------------------------
+    // -- durable ingest: apply, then journal, then the snapshot cadence ----
+    //
+    // Every input that changes the engine goes through one of the three
+    // `commit_*` methods under the caller's one engine lock, so the
+    // journal is a linearisation of engine mutations. On a journal error
+    // the input stays applied but must not be acknowledged.
 
-    /// Journals a record entry (no-op for a memory-only engine). Called
-    /// *after* the records were applied and *before* the ack goes out.
-    fn persist_records(&mut self, kind: u8, records: &[Record]) -> aging_store::Result<()> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
-        };
-        let mut payload = Vec::with_capacity(5 + records.len() * ENTRY_RECORD_BYTES);
-        persist::put_u8(&mut payload, kind);
-        persist::put_u32(&mut payload, records.len() as u32);
-        for rec in records {
-            persist::put_u64(&mut payload, rec.machine_id);
-            persist::put_u8(&mut payload, rec.counter);
-            persist::put_u64(&mut payload, rec.time_secs.to_bits());
-            persist::put_u64(&mut payload, rec.value.to_bits());
+    /// Applies `records`, journals them as a `kind` entry
+    /// ([`ENTRY_BATCH`] or [`ENTRY_TEXT`]) and runs the snapshot cadence;
+    /// returns the accepted record count.
+    fn commit_records(
+        &mut self,
+        session: u64,
+        kind: u8,
+        records: &[Record],
+    ) -> aging_store::Result<u16> {
+        let accepted = self.apply_batch(session, records, kind == ENTRY_BATCH);
+        if let Some(store) = self.store.as_mut() {
+            let mut payload = Vec::with_capacity(5 + records.len() * RECORD_BYTES);
+            persist::put_u8(&mut payload, kind);
+            persist::put_u32(&mut payload, records.len() as u32);
+            for rec in records {
+                rec.put(&mut payload);
+            }
+            store.append(&payload)?;
         }
-        store.append(&payload)?;
-        Ok(())
+        self.maybe_snapshot();
+        Ok(accepted)
     }
 
-    /// Journals a columnar batch (no-op for a memory-only engine) with
-    /// its timestamps already expanded, so replay feeds
-    /// [`Engine::apply_column`] the identical `f64` column. Called after
-    /// apply, before the ack — same discipline as
-    /// [`Engine::persist_records`].
-    fn persist_column(
+    /// Applies one columnar batch, journals it as an [`ENTRY_COLUMN`]
+    /// with its timestamps already expanded (so replay feeds
+    /// [`Engine::apply_column`] the identical `f64` column) and runs the
+    /// snapshot cadence; returns the accepted record count.
+    fn commit_column(
         &mut self,
+        session: u64,
         machine_id: u64,
         counter: u8,
         times: &[f64],
         values: &[f64],
-    ) -> aging_store::Result<()> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
-        };
-        let n = times.len().min(values.len());
-        let mut payload = Vec::with_capacity(14 + n * ENTRY_SAMPLE_BYTES);
-        persist::put_u8(&mut payload, ENTRY_COLUMN);
-        persist::put_u64(&mut payload, machine_id);
-        persist::put_u8(&mut payload, counter);
-        persist::put_u32(&mut payload, n as u32);
-        for (&t, &v) in times[..n].iter().zip(&values[..n]) {
-            persist::put_u64(&mut payload, t.to_bits());
-            persist::put_u64(&mut payload, v.to_bits());
+    ) -> aging_store::Result<u16> {
+        let accepted = self.apply_column(session, machine_id, counter, times, values);
+        if let Some(store) = self.store.as_mut() {
+            let n = times.len().min(values.len());
+            let mut payload = Vec::with_capacity(14 + n * ENTRY_SAMPLE_BYTES);
+            persist::put_u8(&mut payload, ENTRY_COLUMN);
+            persist::put_u64(&mut payload, machine_id);
+            persist::put_u8(&mut payload, counter);
+            persist::put_u32(&mut payload, n as u32);
+            for (&t, &v) in times[..n].iter().zip(&values[..n]) {
+                persist::put_f64(&mut payload, t);
+                persist::put_f64(&mut payload, v);
+            }
+            store.append(&payload)?;
         }
-        store.append(&payload)?;
+        self.maybe_snapshot();
+        Ok(accepted)
+    }
+
+    /// Finishes one machine's feed, journals an [`ENTRY_FINISH`] and runs
+    /// the snapshot cadence.
+    fn commit_finish(&mut self, machine_id: u64) -> aging_store::Result<()> {
+        self.apply_finish(machine_id);
+        self.persist_finish(machine_id)?;
+        self.maybe_snapshot();
         Ok(())
     }
+
+    // -- persistence ------------------------------------------------------
 
     /// Journals a feed-finish entry (no-op for a memory-only engine).
     fn persist_finish(&mut self, machine_id: u64) -> aging_store::Result<()> {
@@ -757,24 +792,9 @@ impl Engine {
         persist::put_u64(&mut out, self.status_seq);
         persist::put_u64(&mut out, self.warnings);
         persist::put_u64(&mut out, self.alarms);
-        let w = &self.wire;
-        for v in [
-            w.connections,
-            w.sessions_closed,
-            w.text_sessions,
-            w.frames,
-            w.batches,
-            w.records,
-            w.records_rejected,
-            w.acks_sent,
-            w.busy_sent,
-            w.malformed_frames,
-            w.corrupt_streams,
-            w.quarantined,
-            w.session_panics,
-            w.queries,
-        ] {
-            persist::put_u64(&mut out, v);
+        let mut wire = self.wire;
+        for v in wire.fields_mut() {
+            persist::put_u64(&mut out, *v);
         }
         out
     }
@@ -782,26 +802,25 @@ impl Engine {
     /// Rebuilds the engine from a snapshot blob. Restored machines carry
     /// session id 0 (live sessions start at 1), so no running session
     /// owns them until a resuming client sends its next record.
-    fn restore_snapshot(&mut self, blob: &[u8]) -> std::result::Result<(), String> {
-        fn ps<T>(r: Result<T>) -> std::result::Result<T, String> {
-            r.map_err(|e| e.to_string())
-        }
-        let mut r = persist::Reader::new(blob);
-        let version = ps(r.u8())?;
+    fn restore_snapshot(&mut self, blob: &[u8]) -> Result<()> {
+        let mut r = Reader::new(blob);
+        let version = r.u8()?;
         if version != SNAPSHOT_VERSION {
-            return Err(format!("unsupported snapshot version {version}"));
+            return Err(Error::invalid(
+                "snapshot",
+                format!("unsupported snapshot version {version}"),
+            ));
         }
-        let machines = ps(r.u64())?;
+        // A machine is its id, then the length words of its name and state.
+        let machines = r.count(Reader::u64, 8 + 8 + 8)?;
         self.machines.clear();
         for _ in 0..machines {
-            let id = ps(r.u64())?;
-            let name = ps(r.str_())?;
-            let state = ps(r.bytes())?;
-            let mut pipeline = MachinePipeline::new(&self.detectors, self.fusion, self.gate)
-                .map_err(|e| e.to_string())?;
-            let mut sr = persist::Reader::new(state);
-            pipeline.restore_state(&mut sr).map_err(|e| e.to_string())?;
-            ps(sr.finish())?;
+            let id = r.u64()?;
+            let name = r.str_()?;
+            let mut state = Reader::new(r.bytes()?);
+            let mut pipeline = MachinePipeline::new(&self.detectors, self.fusion, self.gate)?;
+            pipeline.restore_state(&mut state)?;
+            state.finish()?;
             self.machines.insert(
                 id,
                 MachineEntry {
@@ -811,16 +830,14 @@ impl Engine {
                 },
             );
         }
-        let pending = ps(r.u64())?;
+        // A pending event is its sequence, then its length word.
+        let pending = r.count(Reader::u64, 8 + 8)?;
         self.pending = WatermarkMerger::new(1);
         for _ in 0..pending {
-            let seq = ps(r.u64())?;
-            let bytes = ps(r.bytes())?;
-            let mut er = EventReader::new(bytes);
+            let seq = r.u64()?;
+            let mut er = Reader::new(r.bytes()?);
             let event = decode_event(&mut er)?;
-            if er.remaining() != 0 {
-                return Err("trailing bytes after pending event".into());
-            }
+            er.finish()?;
             self.pending.push(
                 MergeKey {
                     time_secs: event.time_secs,
@@ -830,96 +847,59 @@ impl Engine {
                 event,
             );
         }
-        self.released = decode_events(ps(r.bytes())?)?;
-        self.seq = ps(r.u64())?;
-        self.status_seq = ps(r.u64())?;
-        self.warnings = ps(r.u64())?;
-        self.alarms = ps(r.u64())?;
+        self.released = read_events(r.bytes()?)?;
+        self.seq = r.u64()?;
+        self.status_seq = r.u64()?;
+        self.warnings = r.u64()?;
+        self.alarms = r.u64()?;
         let mut w = WireCounters::default();
-        for field in [
-            &mut w.connections,
-            &mut w.sessions_closed,
-            &mut w.text_sessions,
-            &mut w.frames,
-            &mut w.batches,
-            &mut w.records,
-            &mut w.records_rejected,
-            &mut w.acks_sent,
-            &mut w.busy_sent,
-            &mut w.malformed_frames,
-            &mut w.corrupt_streams,
-            &mut w.quarantined,
-            &mut w.session_panics,
-            &mut w.queries,
-        ] {
-            *field = ps(r.u64())?;
+        for field in w.fields_mut() {
+            *field = r.u64()?;
         }
         self.wire = w;
-        ps(r.finish())?;
-        Ok(())
+        r.finish()
     }
 
     /// Replays one journal entry through the same `apply_*` paths the
-    /// live wire uses.
-    fn apply_journal_entry(&mut self, payload: &[u8]) -> std::result::Result<(), String> {
-        fn ps<T>(r: Result<T>) -> std::result::Result<T, String> {
-            r.map_err(|e| e.to_string())
-        }
-        // A declared count is checked against the bytes left before
-        // anything is allocated for it: a CRC-valid entry may still lie.
-        fn count(
-            r: &mut persist::Reader<'_>,
-            bytes_each: usize,
-        ) -> std::result::Result<usize, String> {
-            let n = ps(r.u32())? as usize;
-            if n > r.remaining() / bytes_each {
-                return Err(format!(
-                    "entry declares {n} records but holds {} bytes",
-                    r.remaining()
-                ));
-            }
-            Ok(n)
-        }
-        let mut r = persist::Reader::new(payload);
-        let kind = ps(r.u8())?;
-        match kind {
-            ENTRY_BATCH | ENTRY_TEXT => {
-                let n = count(&mut r, ENTRY_RECORD_BYTES)?;
+    /// live wire uses. A declared count is checked against the bytes left
+    /// before anything is allocated for it: a CRC-valid entry may still
+    /// lie.
+    fn apply_journal_entry(&mut self, payload: &[u8]) -> Result<()> {
+        let mut r = Reader::new(payload);
+        match r.u8()? {
+            kind @ (ENTRY_BATCH | ENTRY_TEXT) => {
+                let n = r.count(Reader::u32, RECORD_BYTES)?;
                 let mut records = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let machine_id = ps(r.u64())?;
-                    let counter = ps(r.u8())?;
-                    let time_secs = f64::from_bits(ps(r.u64())?);
-                    let value = f64::from_bits(ps(r.u64())?);
-                    records.push(Record {
-                        machine_id,
-                        counter,
-                        time_secs,
-                        value,
-                    });
+                    records.push(Record::read(&mut r)?);
                 }
-                ps(r.finish())?;
+                r.finish()?;
                 self.apply_batch(0, &records, kind == ENTRY_BATCH);
             }
             ENTRY_COLUMN => {
-                let machine_id = ps(r.u64())?;
-                let counter = ps(r.u8())?;
-                let n = count(&mut r, ENTRY_SAMPLE_BYTES)?;
+                let machine_id = r.u64()?;
+                let counter = r.u8()?;
+                let n = r.count(Reader::u32, ENTRY_SAMPLE_BYTES)?;
                 let mut times = Vec::with_capacity(n);
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
-                    times.push(f64::from_bits(ps(r.u64())?));
-                    values.push(f64::from_bits(ps(r.u64())?));
+                    times.push(r.f64()?);
+                    values.push(r.f64()?);
                 }
-                ps(r.finish())?;
+                r.finish()?;
                 self.apply_column(0, machine_id, counter, &times, &values);
             }
             ENTRY_FINISH => {
-                let machine_id = ps(r.u64())?;
-                ps(r.finish())?;
+                let machine_id = r.u64()?;
+                r.finish()?;
                 self.apply_finish(machine_id);
             }
-            other => return Err(format!("unknown journal entry kind {other}")),
+            other => {
+                return Err(Error::invalid(
+                    "journal",
+                    format!("unknown journal entry kind {other}"),
+                ))
+            }
         }
         Ok(())
     }
@@ -1124,7 +1104,7 @@ impl Engine {
             e.pipeline
                 .spectrum_widths()
                 .into_iter()
-                .map(|(counter, width)| (counter_code(counter), width))
+                .map(|(counter, width)| (counter.code(), width))
                 .collect()
         })
     }
@@ -1324,17 +1304,15 @@ impl IngestSink for Server {
     ) -> Result<()> {
         let rec = Record {
             machine_id,
-            counter: counter_code(counter),
+            counter: counter.code(),
             time_secs,
             value,
         };
-        let mut engine = self.shared.engine();
-        engine.apply_batch(0, std::slice::from_ref(&rec), false);
-        engine
-            .persist_records(ENTRY_TEXT, std::slice::from_ref(&rec))
-            .map_err(|e| Error::Io(format!("journal append failed: {e}")))?;
-        engine.maybe_snapshot();
-        Ok(())
+        let committed =
+            self.shared
+                .engine()
+                .commit_records(0, ENTRY_TEXT, std::slice::from_ref(&rec));
+        committed.map(drop).map_err(journal_failed)
     }
 
     fn ingest_column(
@@ -1344,23 +1322,21 @@ impl IngestSink for Server {
         times: &[f64],
         values: &[f64],
     ) -> Result<()> {
-        let mut engine = self.shared.engine();
-        engine.apply_column(0, machine_id, counter_code(counter), times, values);
-        engine
-            .persist_column(machine_id, counter_code(counter), times, values)
-            .map_err(|e| Error::Io(format!("journal append failed: {e}")))?;
-        engine.maybe_snapshot();
-        Ok(())
+        let committed =
+            self.shared
+                .engine()
+                .commit_column(0, machine_id, counter.code(), times, values);
+        committed.map(drop).map_err(journal_failed)
     }
 
     fn machine_done(&mut self, machine_id: u64) -> Result<()> {
-        let mut engine = self.shared.engine();
-        engine
-            .machine_done(machine_id)
-            .map_err(|e| Error::Io(format!("journal append failed: {e}")))?;
-        engine.maybe_snapshot();
-        Ok(())
+        let committed = self.shared.engine().commit_finish(machine_id);
+        committed.map_err(journal_failed)
     }
+}
+
+fn journal_failed(e: StoreError) -> Error {
+    Error::Io(format!("journal append failed: {e}"))
 }
 
 fn io_err(e: std::io::Error) -> Error {
@@ -1631,8 +1607,14 @@ fn serve_frames(
                 Ok(None) => break,
                 Ok(Some(payload)) => {
                     shared.engine().wire.frames += 1;
-                    match Frame::decode_payload(payload) {
-                        Err(reason) => {
+                    let outcome = match Frame::decode_payload(payload) {
+                        Err(reason) => FrameOutcome::Malformed(reason),
+                        Ok(frame) => handle_frame(shared, outbox, session_id, &mut sess, frame),
+                    };
+                    match outcome {
+                        FrameOutcome::Continue => strikes = 0,
+                        FrameOutcome::Close => return SessionEnd::Clean,
+                        FrameOutcome::Malformed(reason) => {
                             strikes += 1;
                             shared.engine().wire.malformed_frames += 1;
                             outbox.push(&Frame::Error {
@@ -1645,29 +1627,6 @@ fn serve_frames(
                                     message: format!("{strikes} consecutive malformed frames"),
                                 });
                                 return SessionEnd::Quarantined { corrupt: false };
-                            }
-                        }
-                        Ok(frame) => {
-                            match handle_frame(shared, outbox, session_id, &mut sess, frame) {
-                                FrameOutcome::Continue => strikes = 0,
-                                FrameOutcome::Close => return SessionEnd::Clean,
-                                FrameOutcome::Malformed(reason) => {
-                                    strikes += 1;
-                                    shared.engine().wire.malformed_frames += 1;
-                                    outbox.push(&Frame::Error {
-                                        code: ERR_MALFORMED,
-                                        message: reason,
-                                    });
-                                    if strikes >= cfg.quarantine_after {
-                                        outbox.push(&Frame::Error {
-                                            code: ERR_QUARANTINED,
-                                            message: format!(
-                                                "{strikes} consecutive malformed frames"
-                                            ),
-                                        });
-                                        return SessionEnd::Quarantined { corrupt: false };
-                                    }
-                                }
                             }
                         }
                     }
@@ -1754,38 +1713,9 @@ fn handle_frame(
             });
             FrameOutcome::Continue
         }
-        Frame::Batch { seq, records } => {
-            // Apply, then journal, then ack — all under one engine lock,
-            // so the journal is a linearisation of engine mutations and
-            // an acked batch is always durable. A journal failure closes
-            // the session *without* acking: the client re-sends and the
-            // gates dedup any records that did reach the journal.
-            let outcome = {
-                let mut engine = shared.engine();
-                let accepted = engine.apply_batch(session_id, &records, true);
-                match engine.persist_records(ENTRY_BATCH, &records) {
-                    Ok(()) => {
-                        engine.maybe_snapshot();
-                        engine.wire.acks_sent += 1;
-                        Ok(accepted)
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            };
-            match outcome {
-                Ok(accepted) => {
-                    outbox.push(&Frame::Ack { seq, accepted });
-                    FrameOutcome::Continue
-                }
-                Err(msg) => {
-                    outbox.push(&Frame::Error {
-                        code: ERR_STORE,
-                        message: format!("journal append failed: {msg}"),
-                    });
-                    FrameOutcome::Close
-                }
-            }
-        }
+        Frame::Batch { seq, records } => ack_committed(shared, outbox, seq, |engine| {
+            engine.commit_records(session_id, ENTRY_BATCH, &records)
+        }),
         Frame::BatchColumnar {
             seq,
             machine_id,
@@ -1803,52 +1733,15 @@ fn handle_frame(
                 ));
             }
             expand_column_times(t0, &dt_units, &mut sess.times);
-            // Same apply → journal → ack discipline as `Frame::Batch`.
-            let outcome = {
-                let mut engine = shared.engine();
-                let accepted =
-                    engine.apply_column(session_id, machine_id, counter, &sess.times, &values);
-                match engine.persist_column(machine_id, counter, &sess.times, &values) {
-                    Ok(()) => {
-                        engine.maybe_snapshot();
-                        engine.wire.acks_sent += 1;
-                        Ok(accepted)
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            };
-            match outcome {
-                Ok(accepted) => {
-                    outbox.push(&Frame::Ack { seq, accepted });
-                    FrameOutcome::Continue
-                }
-                Err(msg) => {
-                    outbox.push(&Frame::Error {
-                        code: ERR_STORE,
-                        message: format!("journal append failed: {msg}"),
-                    });
-                    FrameOutcome::Close
-                }
-            }
+            ack_committed(shared, outbox, seq, |engine| {
+                engine.commit_column(session_id, machine_id, counter, &sess.times, &values)
+            })
         }
         Frame::MachineDone { machine_id } => {
-            let res = {
-                let mut engine = shared.engine();
-                let res = engine.machine_done(machine_id);
-                if res.is_ok() {
-                    engine.maybe_snapshot();
-                }
-                res
-            };
-            match res {
+            let committed = shared.engine().commit_finish(machine_id);
+            match committed {
                 Ok(()) => FrameOutcome::Continue,
-                Err(e) => {
-                    outbox.push(&Frame::Error {
-                        code: ERR_STORE,
-                        message: format!("journal append failed: {e}"),
-                    });
-                    FrameOutcome::Close
-                }
+                Err(e) => store_failed(outbox, &e),
             }
         }
         Frame::QueryStatus => {
@@ -1975,6 +1868,43 @@ fn handle_frame(
     }
 }
 
+/// Commits one batch under one engine lock and queues its ack. The ack
+/// is counted under that same lock, and goes out only once the batch is
+/// applied and journaled, so an acked batch is always durable. A journal
+/// failure closes the session *without* acking: the client re-sends and
+/// the gates dedup any records that did reach the journal.
+fn ack_committed(
+    shared: &Arc<Shared>,
+    outbox: &mut Outbox<&TcpStream>,
+    seq: u64,
+    commit: impl FnOnce(&mut Engine) -> aging_store::Result<u16>,
+) -> FrameOutcome {
+    let committed = {
+        let mut engine = shared.engine();
+        let committed = commit(&mut engine);
+        if committed.is_ok() {
+            engine.wire.acks_sent += 1;
+        }
+        committed
+    };
+    match committed {
+        Ok(accepted) => {
+            outbox.push(&Frame::Ack { seq, accepted });
+            FrameOutcome::Continue
+        }
+        Err(e) => store_failed(outbox, &e),
+    }
+}
+
+/// Reports a failed journal append and closes the session.
+fn store_failed(outbox: &mut Outbox<&TcpStream>, e: &StoreError) -> FrameOutcome {
+    outbox.push(&Frame::Error {
+        code: ERR_STORE,
+        message: format!("journal append failed: {e}"),
+    });
+    FrameOutcome::Close
+}
+
 // ---------------------------------------------------------------------------
 // Text sessions
 // ---------------------------------------------------------------------------
@@ -2099,22 +2029,15 @@ fn handle_text(
                 time_secs,
                 value,
             };
-            // Same discipline as the binary batch path: apply, journal,
-            // then confirm — "ok" implies durable.
-            let outcome = {
-                let mut engine = shared.engine();
-                let ok = engine.apply_batch(session_id, std::slice::from_ref(&rec), false) == 1;
-                match engine.persist_records(ENTRY_TEXT, std::slice::from_ref(&rec)) {
-                    Ok(()) => {
-                        engine.maybe_snapshot();
-                        Ok(ok)
-                    }
-                    Err(e) => Err(e),
-                }
-            };
-            match outcome {
-                Ok(ok) => {
-                    let _ = send_line(stream, if ok { "ok" } else { "err rejected" });
+            // Same discipline as the binary batch path: "ok" implies
+            // durable.
+            let committed =
+                shared
+                    .engine()
+                    .commit_records(session_id, ENTRY_TEXT, std::slice::from_ref(&rec));
+            match committed {
+                Ok(accepted) => {
+                    let _ = send_line(stream, if accepted == 1 { "ok" } else { "err rejected" });
                     FrameOutcome::Continue
                 }
                 Err(e) => {
@@ -2124,15 +2047,8 @@ fn handle_text(
             }
         }
         TextCommand::Done { machine_id } => {
-            let res = {
-                let mut engine = shared.engine();
-                let res = engine.machine_done(machine_id);
-                if res.is_ok() {
-                    engine.maybe_snapshot();
-                }
-                res
-            };
-            match res {
+            let committed = shared.engine().commit_finish(machine_id);
+            match committed {
                 Ok(()) => {
                     let _ = send_line(stream, "ok");
                     FrameOutcome::Continue

@@ -47,7 +47,7 @@ use aging_store::{Store, StoreConfig};
 use aging_timeseries::persist;
 use aging_timeseries::{Error, Result};
 
-use crate::detector::{AlertDetail, StreamingDetector};
+use crate::detector::{AlertDetail, DetectorSpec, StreamingDetector};
 use crate::gate::GateConfig;
 use crate::merge::{MergeKey, WatermarkMerger};
 use crate::pipeline::{MachinePipeline, PipelineEvent};
@@ -213,34 +213,6 @@ const DETAIL_HOLDER: u8 = 0;
 const DETAIL_TREND: u8 = 1;
 const DETAIL_SPECTRUM: u8 = 2;
 
-fn counter_byte(counter: Counter) -> u8 {
-    Counter::ALL
-        .iter()
-        .position(|&c| c == counter)
-        .expect("Counter::ALL is exhaustive") as u8
-}
-
-fn counter_from_byte(code: u8) -> Result<Counter> {
-    Counter::ALL
-        .get(usize::from(code))
-        .copied()
-        .ok_or_else(|| Error::invalid("store", format!("bad counter code {code}")))
-}
-
-/// Interns a persisted detector-family name back to its `&'static str`.
-fn detector_name(name: &str) -> Result<&'static str> {
-    // Must cover every DetectorSpec::name.
-    for known in ["holder-dimension", "mann-kendall-sen", "spectrum-width"] {
-        if name == known {
-            return Ok(known);
-        }
-    }
-    Err(Error::invalid(
-        "store",
-        format!("unknown detector name {name:?}"),
-    ))
-}
-
 fn encode_alarm_event(event: &AlarmEvent, out: &mut Vec<u8>) {
     persist::put_u64(out, event.machine_index as u64);
     persist::put_str(out, &event.machine);
@@ -253,7 +225,7 @@ fn encode_alarm_event(event: &AlarmEvent, out: &mut Vec<u8>) {
             detail,
         } => {
             persist::put_u8(out, EVENT_DETECTOR);
-            persist::put_u8(out, counter_byte(*counter));
+            persist::put_u8(out, counter.code());
             persist::put_str(out, detector);
             match detail {
                 AlertDetail::Holder(alert) => {
@@ -297,8 +269,16 @@ fn decode_alarm_event(r: &mut persist::Reader<'_>) -> Result<AlarmEvent> {
     let level = AlertLevel::from_code(r.u8()?)?;
     let kind = match r.u8()? {
         EVENT_DETECTOR => {
-            let counter = counter_from_byte(r.u8()?)?;
-            let detector = detector_name(&r.str_()?)?;
+            let code = r.u8()?;
+            let counter = Counter::from_code(code)
+                .ok_or_else(|| Error::invalid("store", format!("bad counter code {code}")))?;
+            // Interns the persisted name back to its `&'static str`.
+            let name = r.str_()?;
+            let detector = DetectorSpec::family_code_of(&name)
+                .and_then(DetectorSpec::family_name)
+                .ok_or_else(|| {
+                    Error::invalid("store", format!("unknown detector name {name:?}"))
+                })?;
             let detail = match r.u8()? {
                 DETAIL_HOLDER => AlertDetail::Holder(Alert::decode(r)?),
                 DETAIL_TREND => AlertDetail::Trend {

@@ -98,11 +98,21 @@ fn corrupt(reason: impl Into<String>) -> Error {
     Error::invalid("persist", reason)
 }
 
-/// A strict bounds-checked cursor over an encoded state blob.
+#[cold]
+#[inline(never)]
+fn truncated(wanted: usize, left: usize) -> Error {
+    corrupt(format!("truncated: wanted {wanted} bytes, {left} left"))
+}
+
+/// A strict bounds-checked cursor over an encoded state blob, a wire
+/// frame payload or a journal entry — the one byte reader every decoder
+/// in the workspace uses.
 ///
 /// Every accessor consumes from the front; any structural violation
 /// (truncation, bad presence byte, absurd length) is an
-/// [`Error::InvalidParameter`] tagged `persist`.
+/// [`Error::InvalidParameter`] tagged `persist`. A declared element count
+/// is trusted only after [`Reader::count`] has checked it against the
+/// bytes left, so no decoder allocates for more than its input holds.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -116,6 +126,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -125,12 +136,10 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails if fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(corrupt(format!(
-                "truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
+            return Err(truncated(n, self.remaining()));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -142,8 +151,20 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncation.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16> {
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
     }
 
     /// Reads a little-endian `u32`.
@@ -151,6 +172,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncation.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
@@ -161,6 +183,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncation.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
@@ -191,6 +214,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncation.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -219,6 +243,37 @@ impl<'a> Reader<'a> {
         } else {
             Ok(None)
         }
+    }
+
+    /// Reads an element count with `read` (such as [`Reader::u16`],
+    /// [`Reader::u32`] or [`Reader::u64`]) and checks that at least
+    /// `count × min_element_bytes` bytes follow it, so the caller may
+    /// allocate room for `count` elements. `min_element_bytes` is the
+    /// size of the shortest element the sequence can hold.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation, or when the elements cannot fit in the bytes
+    /// left (the product is overflow-checked). A rejected count consumes
+    /// no bytes.
+    pub fn count<T: Into<u64>>(
+        &mut self,
+        read: fn(&mut Self) -> Result<T>,
+        min_element_bytes: usize,
+    ) -> Result<usize> {
+        let start = self.pos;
+        let n: u64 = read(self)?.into();
+        let fits = usize::try_from(n).ok().filter(|&n| {
+            n.checked_mul(min_element_bytes)
+                .is_some_and(|b| b <= self.remaining())
+        });
+        fits.ok_or_else(|| {
+            let left = self.remaining();
+            self.pos = start;
+            corrupt(format!(
+                "count {n} of {min_element_bytes}-byte elements exceeds the {left} bytes left"
+            ))
+        })
     }
 
     /// Reads a `u64`-length-prefixed byte string.
@@ -263,6 +318,7 @@ mod tests {
     fn primitives_round_trip() {
         let mut buf = Vec::new();
         put_u8(&mut buf, 0xab);
+        buf.extend_from_slice(&0xbeefu16.to_le_bytes());
         put_u32(&mut buf, 0xdead_beef);
         put_u64(&mut buf, u64::MAX - 1);
         put_i64(&mut buf, -42);
@@ -276,6 +332,7 @@ mod tests {
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 0xab);
+        assert_eq!(r.u16().unwrap(), 0xbeef);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.i64().unwrap(), -42);
@@ -324,5 +381,58 @@ mod tests {
         put_bytes(&mut buf, &[0xff, 0xfe]);
         let mut r = Reader::new(&buf);
         assert!(r.str_().is_err());
+    }
+
+    #[test]
+    fn counted_read_accepts_zero_and_an_exact_fit_and_refuses_one_over() {
+        // A count of zero fits anything, even an empty tail.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 0);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.count(Reader::u32, 25).unwrap(), 0);
+        r.finish().unwrap();
+
+        for (n, min) in [(1u16, 25usize), (3, 16), (40, 1), (7, 0)] {
+            // Exactly `n` elements left: accepted, the count consumed.
+            let mut buf = n.to_le_bytes().to_vec();
+            buf.extend(std::iter::repeat_n(0xab, usize::from(n) * min));
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.count(Reader::u16, min).unwrap(), usize::from(n));
+            assert_eq!(r.remaining(), usize::from(n) * min);
+
+            // One element more than the bytes hold is refused, except
+            // for zero-byte elements, and a refused count consumes
+            // nothing.
+            buf[..2].copy_from_slice(&(n + 1).to_le_bytes());
+            let mut r = Reader::new(&buf);
+            let one_over = r.count(Reader::u16, min);
+            if min == 0 {
+                assert_eq!(one_over.unwrap(), usize::from(n) + 1);
+            } else {
+                assert!(one_over.is_err(), "{n} x {min} B");
+                assert_eq!(r.remaining(), buf.len());
+            }
+        }
+    }
+
+    #[test]
+    fn counted_read_refuses_overflowing_products_without_consuming() {
+        // 2⁶³ two-byte elements: the byte product overflows `usize`.
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 1 << 63);
+        buf.extend_from_slice(&[0; 64]);
+        let mut r = Reader::new(&buf);
+        assert!(r.count(Reader::u64, 2).is_err());
+        assert_eq!(r.remaining(), buf.len());
+        // The same count of one-byte elements does not overflow, and is
+        // still refused.
+        assert!(r.count(Reader::u64, 1).is_err());
+        assert_eq!(r.remaining(), buf.len());
+
+        // A count cut short consumes nothing either.
+        let mut r = Reader::new(&[1, 0, 0]);
+        assert!(r.count(Reader::u32, 1).is_err());
+        assert_eq!(r.remaining(), 3);
+        assert_eq!(r.u16().unwrap(), 1);
     }
 }
