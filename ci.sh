@@ -35,10 +35,12 @@ AGING_THREADS=4 cargo test --workspace --quiet
 # The two passes above already run every workspace suite at both thread
 # settings, doc tests included: the spectrum streaming-vs-batch parity
 # proptests, the chaos differential, the serve loopback and
-# kill-and-recover differentials, the cluster parity differential, the
-# rejuvenation decision-parity and golden suites, and the
-# allocation-regression guard. Only the repro differentials below need
-# their own step.
+# kill-and-recover differentials, the serve read-side query promises
+# (crates/serve/tests/query_read_side.rs), the cluster parity
+# differential, the rejuvenation decision-parity and golden suites, and
+# the allocation guards (crates/stream/tests/alloc_regression.rs and the
+# journal's crates/store/tests/append_alloc.rs). Only the repro
+# differentials below need their own step.
 
 # The benchmark is a package of its own (not a workspace member), so the
 # workspace passes never build it: check that it still compiles against

@@ -5,8 +5,8 @@
 //! in `(time, machine_id, seq)` order and advertises, with every
 //! `AlarmsReply`, a watermark `W` meaning *"the first `total` events of
 //! my history contain everything I will ever release at or below `W`"*
-//! (`total` and `W` are computed under one engine lock, so the pair is
-//! consistent). The aggregator keeps one cursor per shard, pulls each
+//! (`total` and `W` are published together under the shard's read-side
+//! lock, so the pair is consistent). The aggregator keeps one cursor per shard, pulls each
 //! stream chunk by chunk into a shared [`WatermarkMerger`], and only
 //! advances a shard's merger watermark to a reply's `W` once its cursor
 //! has consumed that *same* reply's `total` events — at which point the

@@ -480,12 +480,6 @@ pub fn columnar_spans(times: &[f64], max_span: usize, out: &mut Vec<(usize, usiz
 // Event codec
 // ---------------------------------------------------------------------------
 
-const EVENT_DETECTOR: u8 = 0;
-const EVENT_MACHINE_ALARM: u8 = 1;
-const EVENT_RESTART: u8 = 2;
-const DETAIL_HOLDER: u8 = 0;
-const DETAIL_TREND: u8 = 1;
-const DETAIL_SPECTRUM: u8 = 2;
 /// Size of the shortest encoded event, a restart: machine id, time, level,
 /// kind tag, reason code and downtime.
 const EVENT_MIN_BYTES: usize = 8 + 8 + 1 + 1 + 1 + 8;
@@ -499,25 +493,22 @@ pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(&event.machine_id.to_le_bytes());
     out.extend_from_slice(&event.time_secs.to_bits().to_le_bytes());
     out.push(event.level.code());
+    out.push(event.kind.tag());
     match &event.kind {
         AlarmKind::Detector {
             counter,
             detector,
             detail,
         } => {
-            out.push(EVENT_DETECTOR);
             out.push(counter.code());
             // Every DetectorSpec name has a code; any other name gets one
             // no decoder accepts, so it fails on the way back in rather
             // than reading as another family.
             out.push(DetectorSpec::family_code_of(detector).unwrap_or(u8::MAX));
+            out.push(detail.tag());
             match detail {
-                AlertDetail::Holder(alert) => {
-                    out.push(DETAIL_HOLDER);
-                    alert.encode(out);
-                }
+                AlertDetail::Holder(alert) => alert.encode(out),
                 AlertDetail::Trend { eta_secs } => {
-                    out.push(DETAIL_TREND);
                     out.push(u8::from(eta_secs.is_some()));
                     out.extend_from_slice(&eta_secs.unwrap_or(0.0).to_bits().to_le_bytes());
                 }
@@ -525,14 +516,12 @@ pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
                     delta_alpha,
                     baseline_width,
                 } => {
-                    out.push(DETAIL_SPECTRUM);
                     out.extend_from_slice(&delta_alpha.to_bits().to_le_bytes());
                     out.extend_from_slice(&baseline_width.to_bits().to_le_bytes());
                 }
             }
         }
         AlarmKind::MachineAlarm { votes, members } => {
-            out.push(EVENT_MACHINE_ALARM);
             out.extend_from_slice(&(*votes as u64).to_le_bytes());
             out.extend_from_slice(&(*members as u64).to_le_bytes());
         }
@@ -540,7 +529,6 @@ pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
             reason,
             downtime_secs,
         } => {
-            out.push(EVENT_RESTART);
             out.push(reason.code());
             out.extend_from_slice(&downtime_secs.to_bits().to_le_bytes());
         }
@@ -584,7 +572,7 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<ServeEvent> {
     let time_secs = r.f64()?;
     let level = AlertLevel::from_code(r.u8()?)?;
     let kind = match r.u8()? {
-        EVENT_DETECTOR => {
+        AlarmKind::DETECTOR_TAG => {
             let code = r.u8()?;
             let counter = Counter::from_code(code)
                 .ok_or_else(|| malformed(format!("bad counter code {code}")))?;
@@ -592,15 +580,15 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<ServeEvent> {
             let detector = DetectorSpec::family_name(code)
                 .ok_or_else(|| malformed(format!("bad detector code {code}")))?;
             let detail = match r.u8()? {
-                DETAIL_HOLDER => AlertDetail::Holder(Alert::decode(r)?),
-                DETAIL_TREND => {
+                AlertDetail::HOLDER_TAG => AlertDetail::Holder(Alert::decode(r)?),
+                AlertDetail::TREND_TAG => {
                     let has_eta = r.u8()? != 0;
                     let eta = r.f64()?;
                     AlertDetail::Trend {
                         eta_secs: has_eta.then_some(eta),
                     }
                 }
-                DETAIL_SPECTRUM => {
+                AlertDetail::SPECTRUM_TAG => {
                     let delta_alpha = r.f64()?;
                     let baseline_width = r.f64()?;
                     AlertDetail::Spectrum {
@@ -616,11 +604,11 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<ServeEvent> {
                 detail,
             }
         }
-        EVENT_MACHINE_ALARM => AlarmKind::MachineAlarm {
+        AlarmKind::MACHINE_ALARM_TAG => AlarmKind::MachineAlarm {
             votes: r.u64()? as usize,
             members: r.u64()? as usize,
         },
-        EVENT_RESTART => AlarmKind::Restart {
+        AlarmKind::RESTART_TAG => AlarmKind::Restart {
             reason: aging_rejuv::RestartReason::from_code(r.u8()?)?,
             downtime_secs: r.f64()?,
         },

@@ -4,18 +4,28 @@
 //! # Architecture
 //!
 //! ```text
-//!  clients ──TCP──► session threads ──► Engine (mutex)
-//!                     │ decode+CRC        ├─ MachinePipeline per machine_id
-//!                     │ quarantine        ├─ WatermarkMerger (time, id, seq)
-//!                     └ acks/replies      └─ released alarm history
+//! clients ──TCP──► session threads ──► Engine (mutex)                    ReadSide (mutex)
+//!                    │ decode+CRC        ├─ MachinePipeline per id       ├─ released alarm history
+//!                    │ quarantine        ├─ WatermarkMerger              │  and its release frontier
+//!                    │ acks/replies      │  (time, id, seq)              ├─ fleet status
+//!                    │                   ├─ journal (optional)           └─ wire counters
+//!                    │                   └─ release() ── publishes ─────►▲
+//!                    └ status / alarms queries ──────────────────────────┘
 //! ```
 //!
-//! Each connection gets its own session thread; the only shared state is
-//! the engine behind one mutex, entered per *batch* (not per byte), so a
-//! slow or stalled peer never blocks another session's socket I/O. A
-//! binary session queues its replies and writes everything one read
+//! Each connection gets its own session thread. The sessions share two
+//! things, each behind its own mutex. The engine is entered per *batch*
+//! (not per byte), so a slow or stalled peer never blocks another
+//! session's socket I/O. At the end of every release the engine
+//! publishes to the read side: the released history and its frontier,
+//! written together, the fleet status and the wire counters. Status and
+//! alarm queries read only the read side, so they never wait behind
+//! ingest; queries about one machine's pipeline still take the engine.
+//! Locks are taken engine → read side, never the reverse, and the read
+//! side is never held across socket I/O, JSON encoding or pipeline work.
+//! A binary session queues its replies and writes everything one read
 //! brought in with a single write before it reads again; an ack is
-//! queued only once its batch is applied and journaled.
+//! queued only once its batch is applied, published and journaled.
 //!
 //! # Watermarked history
 //!
@@ -61,7 +71,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use aging_core::detector::AlertLevel;
@@ -417,6 +427,14 @@ impl WireCounters {
             &mut self.queries,
         ]
     }
+
+    /// Adds every counter of `other` to this one.
+    fn add(&mut self, other: &WireCounters) {
+        let mut other = *other;
+        for (mine, theirs) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *mine += *theirs;
+        }
+    }
 }
 
 /// The JSON document answering a status query: wire counters plus the
@@ -458,6 +476,64 @@ pub struct ServeReport {
 }
 
 // ---------------------------------------------------------------------------
+// Read side
+// ---------------------------------------------------------------------------
+
+/// Everything status and alarm queries read, behind its own short lock.
+///
+/// The engine publishes here at the end of every [`Engine::release`], so
+/// a query never waits behind ingest. Locks are taken engine → read side,
+/// never the reverse, and this lock is never held across socket I/O,
+/// JSON encoding or pipeline work: a query copies out what it answers
+/// with, and encodes it after the lock drops.
+struct ReadSide {
+    /// The released alarm history, globally ordered by
+    /// `(time, machine_id, emission)`.
+    released: Vec<ServeEvent>,
+    /// The release frontier advertised in `AlarmsReply`, written under
+    /// the same lock as `released`: every released event at or below it
+    /// is already in `released`, and no future release will be at or
+    /// below it. `-inf` while the expected-machines hold is active (or
+    /// nothing registered); `+inf` once every known feed has finished —
+    /// the per-shard drain barrier.
+    watermark_secs: f64,
+    /// The fleet status as of the last release; each status read stamps
+    /// its own `sequence`.
+    fleet: Snapshot,
+    /// Status documents handed out so far.
+    status_seq: u64,
+    /// Wire-level counters.
+    wire: WireCounters,
+}
+
+impl ReadSide {
+    /// The next status document, stamped with a fresh sequence number.
+    fn status(&mut self) -> ServeStatus {
+        self.status_seq += 1;
+        let mut fleet = self.fleet.clone();
+        fleet.sequence = self.status_seq;
+        ServeStatus {
+            wire: self.wire,
+            fleet,
+        }
+    }
+
+    /// Up to `chunk` released events from `since`, with the history
+    /// length and the frontier they were read with: `(total, watermark,
+    /// events)`.
+    fn alarms_since(&self, since: u64, chunk: u16) -> (u64, f64, Vec<ServeEvent>) {
+        let total = self.released.len() as u64;
+        let start = since.min(total) as usize;
+        let end = (start + usize::from(chunk)).min(self.released.len());
+        (
+            total,
+            self.watermark_secs,
+            self.released[start..end].to_vec(),
+        )
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
@@ -481,37 +557,48 @@ struct Engine {
     /// the machine pipelines) advances source 0, and its monotone
     /// frontier doubles as the watermark advertised to aggregators.
     pending: WatermarkMerger<ServeEvent>,
-    released: Vec<ServeEvent>,
+    /// Events the current release popped, on their way to the read side.
+    ready: Vec<ServeEvent>,
     seq: u64,
-    status_seq: u64,
     warnings: u64,
     alarms: u64,
-    wire: WireCounters,
     scratch: Vec<PipelineEvent>,
+    /// The journal entry a commit builds, kept between commits.
+    entry: Vec<u8>,
     /// Crash-safe journal + snapshot backing; `None` = memory-only.
     store: Option<Store>,
     /// Shadow-advisory policy for `QueryRejuv` (never restarts anything).
     rejuv: Option<RejuvConfig>,
+    /// What status and alarm queries read, refreshed by every release.
+    read: Arc<Mutex<ReadSide>>,
 }
 
 impl Engine {
     fn new(cfg: &ServeConfig) -> Engine {
+        let machines = BTreeMap::new();
+        let read = ReadSide {
+            released: Vec::new(),
+            watermark_secs: f64::NEG_INFINITY,
+            fleet: fleet_status(&machines, 0, 0, 0),
+            status_seq: 0,
+            wire: WireCounters::default(),
+        };
         Engine {
             detectors: cfg.detectors.clone(),
             fusion: cfg.fusion,
             gate: cfg.gate,
             expected_machines: cfg.expected_machines,
-            machines: BTreeMap::new(),
+            machines,
             pending: WatermarkMerger::new(1),
-            released: Vec::new(),
+            ready: Vec::new(),
             seq: 0,
-            status_seq: 0,
             warnings: 0,
             alarms: 0,
-            wire: WireCounters::default(),
             scratch: Vec::new(),
+            entry: Vec::new(),
             store: None,
             rejuv: cfg.rejuv,
+            read: Arc::new(Mutex::new(read)),
         }
     }
 
@@ -564,7 +651,6 @@ impl Engine {
     /// code). Creates the machine's pipeline on first contact.
     fn ingest(&mut self, session: u64, rec: Record) -> bool {
         let Some(counter) = Counter::from_code(rec.counter) else {
-            self.wire.records_rejected += 1;
             return false;
         };
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -594,12 +680,15 @@ impl Engine {
         times: &[f64],
         values: &[f64],
     ) -> u16 {
-        self.wire.batches += 1;
         let n = times.len().min(values.len());
-        self.wire.records += n as u64;
+        let mut counted = WireCounters {
+            batches: 1,
+            records: n as u64,
+            ..WireCounters::default()
+        };
         let Some(counter) = Counter::from_code(counter) else {
-            self.wire.records_rejected += n as u64;
-            self.release();
+            counted.records_rejected = n as u64;
+            self.release(&counted);
             return 0;
         };
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -608,7 +697,7 @@ impl Engine {
             .ingest_column(counter, times, values, &mut scratch);
         self.scratch = scratch;
         self.enqueue(machine_id);
-        self.release();
+        self.release(&counted);
         n.min(usize::from(u16::MAX)) as u16
     }
 
@@ -617,17 +706,21 @@ impl Engine {
     /// recovered engine reconstructs the exact same state (including the
     /// global emission sequence) the live run produced.
     fn apply_batch(&mut self, session: u64, records: &[Record], counts_batch: bool) -> u16 {
-        if counts_batch {
-            self.wire.batches += 1;
-        }
-        self.wire.records += records.len() as u64;
         let mut accepted = 0u16;
+        let mut rejected = 0u64;
         for rec in records {
             if self.ingest(session, *rec) {
                 accepted = accepted.saturating_add(1);
+            } else {
+                rejected += 1;
             }
         }
-        self.release();
+        self.release(&WireCounters {
+            batches: u64::from(counts_batch),
+            records: records.len() as u64,
+            records_rejected: rejected,
+            ..WireCounters::default()
+        });
         accepted
     }
 
@@ -638,7 +731,7 @@ impl Engine {
             entry.pipeline.finish(&mut self.scratch);
             self.enqueue(machine_id);
         }
-        self.release();
+        self.release(&WireCounters::default());
     }
 
     /// Finishes every machine the closing session was feeding, so a dead
@@ -659,7 +752,7 @@ impl Engine {
             // feed on recovery (the resuming client finishes it again).
             let _ = self.persist_finish(id);
         }
-        self.release();
+        self.release(&WireCounters::default());
     }
 
     // -- durable ingest: apply, then journal, then the snapshot cadence ----
@@ -680,13 +773,14 @@ impl Engine {
     ) -> aging_store::Result<u16> {
         let accepted = self.apply_batch(session, records, kind == ENTRY_BATCH);
         if let Some(store) = self.store.as_mut() {
-            let mut payload = Vec::with_capacity(5 + records.len() * RECORD_BYTES);
-            persist::put_u8(&mut payload, kind);
-            persist::put_u32(&mut payload, records.len() as u32);
+            let payload = &mut self.entry;
+            payload.clear();
+            persist::put_u8(payload, kind);
+            persist::put_u32(payload, records.len() as u32);
             for rec in records {
-                rec.put(&mut payload);
+                rec.put(payload);
             }
-            store.append(&payload)?;
+            store.append(payload)?;
         }
         self.maybe_snapshot();
         Ok(accepted)
@@ -707,16 +801,17 @@ impl Engine {
         let accepted = self.apply_column(session, machine_id, counter, times, values);
         if let Some(store) = self.store.as_mut() {
             let n = times.len().min(values.len());
-            let mut payload = Vec::with_capacity(14 + n * ENTRY_SAMPLE_BYTES);
-            persist::put_u8(&mut payload, ENTRY_COLUMN);
-            persist::put_u64(&mut payload, machine_id);
-            persist::put_u8(&mut payload, counter);
-            persist::put_u32(&mut payload, n as u32);
+            let payload = &mut self.entry;
+            payload.clear();
+            persist::put_u8(payload, ENTRY_COLUMN);
+            persist::put_u64(payload, machine_id);
+            persist::put_u8(payload, counter);
+            persist::put_u32(payload, n as u32);
             for (&t, &v) in times[..n].iter().zip(&values[..n]) {
-                persist::put_f64(&mut payload, t);
-                persist::put_f64(&mut payload, v);
+                persist::put_f64(payload, t);
+                persist::put_f64(payload, v);
             }
-            store.append(&payload)?;
+            store.append(payload)?;
         }
         self.maybe_snapshot();
         Ok(accepted)
@@ -738,10 +833,11 @@ impl Engine {
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
-        let mut payload = Vec::with_capacity(9);
-        persist::put_u8(&mut payload, ENTRY_FINISH);
-        persist::put_u64(&mut payload, machine_id);
-        store.append(&payload)?;
+        let payload = &mut self.entry;
+        payload.clear();
+        persist::put_u8(payload, ENTRY_FINISH);
+        persist::put_u64(payload, machine_id);
+        store.append(payload)?;
         Ok(())
     }
 
@@ -759,8 +855,9 @@ impl Engine {
     }
 
     /// Serialises the complete engine state — machines, pending heap,
-    /// released history, sequence counters, wire counters — into one
-    /// deterministic blob (pending events sorted by their release order).
+    /// the read side's released history, sequence and wire counters —
+    /// into one deterministic blob (pending events sorted by their
+    /// release order).
     fn encode_snapshot_blob(&self) -> Vec<u8> {
         let mut out = Vec::new();
         persist::put_u8(&mut out, SNAPSHOT_VERSION);
@@ -787,12 +884,14 @@ impl Engine {
             encode_event(event, &mut state);
             persist::put_bytes(&mut out, &state);
         }
-        persist::put_bytes(&mut out, &encode_events(&self.released));
+        let read = lock(&self.read);
+        persist::put_bytes(&mut out, &encode_events(&read.released));
         persist::put_u64(&mut out, self.seq);
-        persist::put_u64(&mut out, self.status_seq);
+        persist::put_u64(&mut out, read.status_seq);
         persist::put_u64(&mut out, self.warnings);
         persist::put_u64(&mut out, self.alarms);
-        let mut wire = self.wire;
+        let mut wire = read.wire;
+        drop(read);
         for v in wire.fields_mut() {
             persist::put_u64(&mut out, *v);
         }
@@ -847,17 +946,21 @@ impl Engine {
                 event,
             );
         }
-        self.released = read_events(r.bytes()?)?;
+        let released = read_events(r.bytes()?)?;
         self.seq = r.u64()?;
-        self.status_seq = r.u64()?;
+        let status_seq = r.u64()?;
         self.warnings = r.u64()?;
         self.alarms = r.u64()?;
-        let mut w = WireCounters::default();
-        for field in w.fields_mut() {
+        let mut wire = WireCounters::default();
+        for field in wire.fields_mut() {
             *field = r.u64()?;
         }
-        self.wire = w;
-        r.finish()
+        r.finish()?;
+        let mut read = lock(&self.read);
+        read.released = released;
+        read.status_seq = status_seq;
+        read.wire = wire;
+        Ok(())
     }
 
     /// Replays one journal entry through the same `apply_*` paths the
@@ -928,50 +1031,53 @@ impl Engine {
     }
 
     /// Moves every pending event at or below the fleet watermark (the
-    /// minimum completed tick over unfinished machines) into the
-    /// released history.
-    fn release(&mut self) {
+    /// minimum completed tick over unfinished machines) into the released
+    /// history, then publishes to the read side on every path: the
+    /// released events together with the frontier, the fleet status, and
+    /// `counted` added to the wire counters.
+    fn release(&mut self, counted: &WireCounters) {
         // With a fleet-size expectation, the watermark is meaningless
         // until everyone has checked in — a machine the server has never
         // heard from cannot hold it down.
-        if self
+        let held = self
             .expected_machines
             .is_some_and(|n| (self.machines.len() as u64) < n)
-        {
-            return;
-        }
-        // No expectation and no machine yet: an empty minimum would read
-        // as +inf, which is not a promise this server can keep (the first
-        // feeder may start anywhere in time). Keep the frontier at -inf.
-        if self.machines.is_empty() && self.expected_machines.is_none() {
-            return;
-        }
-        let watermark = self
-            .machines
-            .values()
-            .filter(|e| !e.pipeline.is_finished())
-            .map(|e| e.pipeline.completed_time_secs())
-            .fold(f64::INFINITY, f64::min);
-        // The merger keeps the running maximum, so a recovered engine
-        // (whose pipelines replay from an older completed tick) cannot
-        // regress the advertised frontier.
-        self.pending.advance(0, watermark);
-        while let Some(event) = self.pending.pop_ready() {
-            match event.level {
-                AlertLevel::Warning => self.warnings += 1,
-                AlertLevel::Alarm => self.alarms += 1,
+            // No expectation and no machine yet: an empty minimum would
+            // read as +inf, which is not a promise this server can keep
+            // (the first feeder may start anywhere in time). Keep the
+            // frontier at -inf.
+            || (self.machines.is_empty() && self.expected_machines.is_none());
+        if !held {
+            let watermark = self
+                .machines
+                .values()
+                .filter(|e| !e.pipeline.is_finished())
+                .map(|e| e.pipeline.completed_time_secs())
+                .fold(f64::INFINITY, f64::min);
+            // The merger keeps the running maximum, so a recovered engine
+            // (whose pipelines replay from an older completed tick) cannot
+            // regress the advertised frontier.
+            self.pending.advance(0, watermark);
+            while let Some(event) = self.pending.pop_ready() {
+                match event.level {
+                    AlertLevel::Warning => self.warnings += 1,
+                    AlertLevel::Alarm => self.alarms += 1,
+                }
+                self.ready.push(event);
             }
-            self.released.push(event);
         }
-    }
-
-    /// The release frontier advertised in `AlarmsReply`: all released
-    /// events at or below it are already in `released`, and no future
-    /// release will be at or below it. `-inf` while the expected-machines
-    /// hold is active (or nothing registered); `+inf` once every known
-    /// feed has finished — the per-shard drain barrier.
-    fn advertised_watermark(&self) -> f64 {
-        self.pending.frontier()
+        // The fleet status is built before the read-side lock is taken.
+        let fleet = fleet_status(
+            &self.machines,
+            self.warnings,
+            self.alarms,
+            self.pending.len(),
+        );
+        let mut read = lock(&self.read);
+        read.released.append(&mut self.ready);
+        read.watermark_secs = self.pending.frontier();
+        read.fleet = fleet;
+        read.wire.add(counted);
     }
 
     /// Finishes every feed and releases everything — shutdown drain.
@@ -985,52 +1091,8 @@ impl Engine {
             entry.pipeline.finish(&mut self.scratch);
             self.enqueue(id);
         }
-        self.release();
+        self.release(&WireCounters::default());
         debug_assert!(self.pending.is_empty());
-    }
-
-    fn snapshot(&mut self) -> Snapshot {
-        self.status_seq += 1;
-        let mut ingestion = StageCounters::default();
-        let mut latency = LatencyHistogram::default();
-        let mut detector_errors = 0u64;
-        let mut live = 0usize;
-        let mut finished = 0usize;
-        let mut t = 0.0f64;
-        for e in self.machines.values() {
-            ingestion.merge(&e.pipeline.counters());
-            latency.merge(e.pipeline.latency());
-            detector_errors += e.pipeline.detector_errors();
-            if e.pipeline.is_finished() {
-                finished += 1;
-            } else {
-                live += 1;
-            }
-            let machine_t = e
-                .pipeline
-                .tick_time_secs()
-                .unwrap_or_else(|| e.pipeline.completed_time_secs());
-            if machine_t.is_finite() {
-                t = t.max(machine_t);
-            }
-        }
-        Snapshot {
-            sequence: self.status_seq,
-            stream_time_secs: t,
-            machines_live: live,
-            machines_finished: finished,
-            ingestion,
-            detector_latency: latency,
-            warnings_emitted: self.warnings,
-            alarms_emitted: self.alarms,
-            alarm_queue_depth: self.pending.len(),
-            telemetry_dropped: 0,
-            // The serve tier observes; restarts are issued by the
-            // stream supervisor's closed loop, never by this engine.
-            restarts_granted: 0,
-            restarts_denied: 0,
-            detector_errors,
-        }
     }
 
     fn machine_snapshot(&self, machine_id: u64) -> Option<MachineSnapshot> {
@@ -1076,16 +1138,22 @@ impl Engine {
                 }
             }
             RejuvPolicy::AlarmTriggered => {
-                for event in &self.released {
-                    if event.machine_id == machine_id
-                        && matches!(event.kind, AlarmKind::MachineAlarm { .. })
-                    {
-                        let _ = controller.decide(&RestartRequest {
-                            machine_index: 0,
-                            time_secs: event.time_secs,
-                            reason: RestartReason::Alarm,
-                        });
-                    }
+                // Copied out under the read-side lock, decided after it.
+                let alarms: Vec<f64> = lock(&self.read)
+                    .released
+                    .iter()
+                    .filter(|e| {
+                        e.machine_id == machine_id
+                            && matches!(e.kind, AlarmKind::MachineAlarm { .. })
+                    })
+                    .map(|e| e.time_secs)
+                    .collect();
+                for time_secs in alarms {
+                    let _ = controller.decide(&RestartRequest {
+                        machine_index: 0,
+                        time_secs,
+                        reason: RestartReason::Alarm,
+                    });
                 }
             }
         }
@@ -1108,20 +1176,55 @@ impl Engine {
                 .collect()
         })
     }
+}
 
-    fn status_json(&mut self) -> String {
-        let status = ServeStatus {
-            wire: self.wire,
-            fleet: self.snapshot(),
-        };
-        serde_json::to_string(&status).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+/// The fleet status over every machine, with `sequence` 0: each status
+/// read stamps its own ([`ReadSide::status`]).
+fn fleet_status(
+    machines: &BTreeMap<u64, MachineEntry>,
+    warnings: u64,
+    alarms: u64,
+    alarm_queue_depth: usize,
+) -> Snapshot {
+    let mut ingestion = StageCounters::default();
+    let mut latency = LatencyHistogram::default();
+    let mut detector_errors = 0u64;
+    let mut live = 0usize;
+    let mut finished = 0usize;
+    let mut t = 0.0f64;
+    for e in machines.values() {
+        ingestion.merge(&e.pipeline.counters());
+        latency.merge(e.pipeline.latency());
+        detector_errors += e.pipeline.detector_errors();
+        if e.pipeline.is_finished() {
+            finished += 1;
+        } else {
+            live += 1;
+        }
+        let machine_t = e
+            .pipeline
+            .tick_time_secs()
+            .unwrap_or_else(|| e.pipeline.completed_time_secs());
+        if machine_t.is_finite() {
+            t = t.max(machine_t);
+        }
     }
-
-    fn alarms_since(&self, since: u64, chunk: u16) -> (u64, Vec<ServeEvent>) {
-        let total = self.released.len() as u64;
-        let start = since.min(total) as usize;
-        let end = (start + usize::from(chunk)).min(self.released.len());
-        (total, self.released[start..end].to_vec())
+    Snapshot {
+        sequence: 0,
+        stream_time_secs: t,
+        machines_live: live,
+        machines_finished: finished,
+        ingestion,
+        detector_latency: latency,
+        warnings_emitted: warnings,
+        alarms_emitted: alarms,
+        alarm_queue_depth,
+        telemetry_dropped: 0,
+        // The serve tier observes; restarts are issued by the stream
+        // supervisor's closed loop, never by this engine.
+        restarts_granted: 0,
+        restarts_denied: 0,
+        detector_errors,
     }
 }
 
@@ -1132,6 +1235,8 @@ impl Engine {
 struct Shared {
     cfg: ServeConfig,
     engine: Mutex<Engine>,
+    /// The engine's read side, reached without the engine lock.
+    read: Arc<Mutex<ReadSide>>,
     shutdown: AtomicBool,
     /// Crash simulation: like `shutdown` but sessions stop *without*
     /// finishing feeds or counting closes — the state left behind is
@@ -1140,14 +1245,20 @@ struct Shared {
 }
 
 impl Shared {
-    /// Locks the engine, recovering from poisoning: a panicked session
-    /// (already counted) must not take the whole server down with it.
     fn engine(&self) -> MutexGuard<'_, Engine> {
-        match self.engine.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&self.engine)
     }
+
+    /// Locks the read side. Never lock the engine while holding it.
+    fn read_side(&self) -> MutexGuard<'_, ReadSide> {
+        lock(&self.read)
+    }
+}
+
+/// Locks `mutex`, recovering from poisoning: a panicked session (already
+/// counted) must not take the whole server down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running ingestion/query server.
@@ -1188,10 +1299,14 @@ impl Server {
                 .map_err(|e| Error::Io(format!("store recovery: {e}")))?;
             engine.store = Some(store);
         }
+        // Publish once before any query can arrive, so the first one
+        // already sees the recovered history and its frontier.
+        engine.release(&WireCounters::default());
         let listener = TcpListener::bind(addr).map_err(io_err)?;
         listener.set_nonblocking(true).map_err(io_err)?;
         let local_addr = listener.local_addr().map_err(io_err)?;
         let shared = Arc::new(Shared {
+            read: Arc::clone(&engine.read),
             engine: Mutex::new(engine),
             cfg,
             shutdown: AtomicBool::new(false),
@@ -1214,18 +1329,15 @@ impl Server {
         self.local_addr
     }
 
-    /// A live status document (same schema as the wire query reply).
+    /// A live status document (same schema as the wire query reply),
+    /// read without waiting on ingest.
     pub fn status(&self) -> ServeStatus {
-        let mut engine = self.shared.engine();
-        ServeStatus {
-            wire: engine.wire,
-            fleet: engine.snapshot(),
-        }
+        self.shared.read_side().status()
     }
 
     /// Number of alarm-history events released so far.
     pub fn released_events(&self) -> usize {
-        self.shared.engine().released.len()
+        self.shared.read_side().released.len()
     }
 
     /// Live durability counters, `None` for a memory-only server.
@@ -1264,7 +1376,7 @@ impl Server {
                     }
                 }
                 Err(_) => {
-                    self.shared.engine().wire.session_panics += 1;
+                    self.shared.read_side().wire.session_panics += 1;
                 }
             }
         }
@@ -1275,10 +1387,11 @@ impl Server {
             .iter()
             .map(|(&id, e)| e.pipeline.snapshot(id, &e.name))
             .collect();
+        let mut read = self.shared.read_side();
         ServeReport {
-            events: std::mem::take(&mut engine.released),
-            status: engine.snapshot(),
-            wire: engine.wire,
+            events: std::mem::take(&mut read.released),
+            status: read.status().fleet,
+            wire: read.wire,
             machines,
             persist: engine.persist_stats(),
         }
@@ -1351,7 +1464,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<std::thread:
             Ok((stream, _)) => {
                 session_id += 1;
                 let id = session_id;
-                shared.engine().wire.connections += 1;
+                shared.read_side().wire.connections += 1;
                 let session_shared = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name(format!("serve-session-{id}"))
@@ -1359,7 +1472,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<std::thread:
                 match handle {
                     Ok(h) => sessions.push(h),
                     Err(_) => {
-                        shared.engine().wire.sessions_closed += 1;
+                        shared.read_side().wire.sessions_closed += 1;
                     }
                 }
             }
@@ -1394,23 +1507,23 @@ fn session_thread(shared: &Arc<Shared>, stream: &TcpStream, session_id: u64) {
         let _ = stream.shutdown(Shutdown::Both);
         return;
     }
-    let mut engine = shared.engine();
+    shared.engine().session_closed(session_id);
+    let mut read = shared.read_side();
     match end {
         Ok(SessionEnd::Clean) => {}
         Ok(SessionEnd::Quarantined { corrupt }) => {
-            engine.wire.quarantined += 1;
+            read.wire.quarantined += 1;
             if corrupt {
-                engine.wire.corrupt_streams += 1;
+                read.wire.corrupt_streams += 1;
             }
         }
         Err(_) => {
-            engine.wire.session_panics += 1;
-            engine.wire.quarantined += 1;
+            read.wire.session_panics += 1;
+            read.wire.quarantined += 1;
         }
     }
-    engine.session_closed(session_id);
-    engine.wire.sessions_closed += 1;
-    drop(engine);
+    read.wire.sessions_closed += 1;
+    drop(read);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -1528,7 +1641,7 @@ fn run_session(shared: &Arc<Shared>, stream: &TcpStream, session_id: u64) -> Ses
     };
 
     if is_text {
-        shared.engine().wire.text_sessions += 1;
+        shared.read_side().wire.text_sessions += 1;
         let rest = first[TEXT_PREAMBLE.len()..].to_vec();
         run_text_session(shared, stream, session_id, &rest, &mut buf)
     } else {
@@ -1606,7 +1719,7 @@ fn serve_frames(
                 }
                 Ok(None) => break,
                 Ok(Some(payload)) => {
-                    shared.engine().wire.frames += 1;
+                    shared.read_side().wire.frames += 1;
                     let outcome = match Frame::decode_payload(payload) {
                         Err(reason) => FrameOutcome::Malformed(reason),
                         Ok(frame) => handle_frame(shared, outbox, session_id, &mut sess, frame),
@@ -1616,7 +1729,7 @@ fn serve_frames(
                         FrameOutcome::Close => return SessionEnd::Clean,
                         FrameOutcome::Malformed(reason) => {
                             strikes += 1;
-                            shared.engine().wire.malformed_frames += 1;
+                            shared.read_side().wire.malformed_frames += 1;
                             outbox.push(&Frame::Error {
                                 code: ERR_MALFORMED,
                                 message: reason,
@@ -1674,7 +1787,7 @@ fn maybe_busy(shared: &Arc<Shared>, outbox: &mut Outbox<&TcpStream>, dec: &Frame
     let backlog = dec.buffered_frames();
     if backlog > u32::from(shared.cfg.window) {
         outbox.push(&Frame::Busy { backlog });
-        shared.engine().wire.busy_sent += 1;
+        shared.read_side().wire.busy_sent += 1;
     }
 }
 
@@ -1745,23 +1858,17 @@ fn handle_frame(
             }
         }
         Frame::QueryStatus => {
-            let json = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine.status_json()
-            };
-            outbox.push(&Frame::StatusReply { json });
+            outbox.push(&Frame::StatusReply {
+                json: status_reply(shared),
+            });
             FrameOutcome::Continue
         }
         Frame::QueryMachine { machine_id } => {
-            let json = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine.machine_snapshot(machine_id).map(|snap| {
-                    serde_json::to_string(&snap)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
-                })
-            };
+            shared.read_side().wire.queries += 1;
+            let snapshot = shared.engine().machine_snapshot(machine_id);
+            let json = snapshot.map(|snap| {
+                serde_json::to_string(&snap).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+            });
             outbox.push(&Frame::MachineReply { json });
             FrameOutcome::Continue
         }
@@ -1774,11 +1881,8 @@ fn handle_frame(
                     sess.version
                 ));
             }
-            let widths = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine.spectrum_widths(machine_id)
-            };
+            shared.read_side().wire.queries += 1;
+            let widths = shared.engine().spectrum_widths(machine_id);
             let known = widths.is_some();
             outbox.push(&Frame::SpectrumReply {
                 machine_id,
@@ -1796,15 +1900,10 @@ fn handle_frame(
                     sess.version
                 ));
             }
-            let advice = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                // Release first so the advisory sees the freshest
-                // watermark-complete history (same discipline as
-                // `QueryAlarms`).
-                engine.release();
-                engine.rejuv_advice(machine_id)
-            };
+            shared.read_side().wire.queries += 1;
+            // Every engine mutation ends in a release, so the history the
+            // advisory replays is already watermark-complete.
+            let advice = shared.engine().rejuv_advice(machine_id);
             let known = advice.is_some();
             let (policy, restarts, denied, last_restart_secs) = advice.unwrap_or((0, 0, 0, None));
             outbox.push(&Frame::RejuvReply {
@@ -1818,17 +1917,7 @@ fn handle_frame(
             FrameOutcome::Continue
         }
         Frame::QueryAlarms { since } => {
-            // `total` and the advertised watermark are read under one
-            // engine lock, so together they form a consistent promise:
-            // every released event at or below the watermark is within
-            // the first `total` events.
-            let (total, watermark_secs, events) = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine.release();
-                let (total, events) = engine.alarms_since(since, cfg.alarm_chunk);
-                (total, engine.advertised_watermark(), events)
-            };
+            let (total, watermark_secs, events) = alarms_reply(shared, since);
             outbox.push(&Frame::AlarmsReply {
                 since,
                 total,
@@ -1869,31 +1958,49 @@ fn handle_frame(
 }
 
 /// Commits one batch under one engine lock and queues its ack. The ack
-/// is counted under that same lock, and goes out only once the batch is
-/// applied and journaled, so an acked batch is always durable. A journal
-/// failure closes the session *without* acking: the client re-sends and
-/// the gates dedup any records that did reach the journal.
+/// goes out only once the batch is applied, published and journaled, so
+/// an acked batch is always durable and every later query sees what it
+/// released. A journal failure closes the session *without* acking: the
+/// client re-sends and the gates dedup any records that did reach the
+/// journal.
 fn ack_committed(
     shared: &Arc<Shared>,
     outbox: &mut Outbox<&TcpStream>,
     seq: u64,
     commit: impl FnOnce(&mut Engine) -> aging_store::Result<u16>,
 ) -> FrameOutcome {
-    let committed = {
-        let mut engine = shared.engine();
-        let committed = commit(&mut engine);
-        if committed.is_ok() {
-            engine.wire.acks_sent += 1;
-        }
-        committed
-    };
+    let committed = commit(&mut shared.engine());
     match committed {
         Ok(accepted) => {
+            shared.read_side().wire.acks_sent += 1;
             outbox.push(&Frame::Ack { seq, accepted });
             FrameOutcome::Continue
         }
         Err(e) => store_failed(outbox, &e),
     }
+}
+
+/// Answers a status query, binary or text, from the read side alone:
+/// counts it, stamps the next status sequence, and encodes the JSON after
+/// the lock drops.
+fn status_reply(shared: &Shared) -> String {
+    let status = {
+        let mut read = shared.read_side();
+        read.wire.queries += 1;
+        read.status()
+    };
+    serde_json::to_string(&status).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+}
+
+/// Answers an alarms query, binary or text, from the read side alone:
+/// counts it and returns `(total, watermark, events)` from `since`. All
+/// three are read under one lock, so together they keep the promise the
+/// aggregator relies on: every released event at or below the watermark
+/// is within the first `total` events.
+fn alarms_reply(shared: &Shared, since: u64) -> (u64, f64, Vec<ServeEvent>) {
+    let mut read = shared.read_side();
+    read.wire.queries += 1;
+    read.alarms_since(since, shared.cfg.alarm_chunk)
 }
 
 /// Reports a failed journal append and closes the session.
@@ -1963,7 +2070,7 @@ fn run_text_session(
             match parse_text_line(line) {
                 Err(reason) => {
                     strikes += 1;
-                    shared.engine().wire.malformed_frames += 1;
+                    shared.read_side().wire.malformed_frames += 1;
                     let _ = send_line(stream, &format!("err {reason}"));
                     if strikes >= cfg.quarantine_after {
                         let _ = send_line(stream, "err quarantined");
@@ -2060,23 +2167,13 @@ fn handle_text(
             }
         }
         TextCommand::Status => {
-            let json = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine.status_json()
-            };
-            let _ = send_line(stream, &json);
+            let _ = send_line(stream, &status_reply(shared));
             FrameOutcome::Continue
         }
         TextCommand::Machine { machine_id } => {
-            let reply = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine
-                    .machine_snapshot(machine_id)
-                    .and_then(|snap| serde_json::to_string(&snap).ok())
-            };
-            match reply {
+            shared.read_side().wire.queries += 1;
+            let snapshot = shared.engine().machine_snapshot(machine_id);
+            match snapshot.and_then(|snap| serde_json::to_string(&snap).ok()) {
                 Some(json) => {
                     let _ = send_line(stream, &json);
                 }
@@ -2087,12 +2184,7 @@ fn handle_text(
             FrameOutcome::Continue
         }
         TextCommand::Alarms { since } => {
-            let (total, events) = {
-                let mut engine = shared.engine();
-                engine.wire.queries += 1;
-                engine.release();
-                engine.alarms_since(since, shared.cfg.alarm_chunk)
-            };
+            let (total, _, events) = alarms_reply(shared, since);
             let _ = send_line(stream, &format!("alarms {total}"));
             for event in &events {
                 let _ = send_line(stream, &render_event_text(event));
@@ -2112,8 +2204,112 @@ fn handle_text(
 
 #[cfg(test)]
 mod tests {
+    use std::io::{BufRead, BufReader};
+    use std::sync::mpsc;
+
     use super::*;
+    use crate::client::ServeClient;
     use crate::protocol::encode_frame;
+
+    /// How long any one reply may take while the engine is held.
+    const REPLY_WITHIN: Duration = Duration::from_secs(2);
+
+    /// Status and alarm queries, binary and text, and `Server::status` and
+    /// `Server::released_events` are answered from the read side while
+    /// the engine lock is held, as it is during a long commit; a batch
+    /// sent meanwhile is acked once the lock drops.
+    #[test]
+    fn queries_are_answered_while_a_commit_holds_the_engine() {
+        let server = Arc::new(
+            Server::bind("127.0.0.1:0", ServeConfig::new(crate::test_detectors())).expect("bind"),
+        );
+        let addr = server.local_addr();
+        let engine = server.shared.engine();
+        let (tx, rx) = mpsc::channel::<(&str, bool)>();
+
+        let binary = tx.clone();
+        std::thread::spawn(move || {
+            let mut client = ServeClient::connect(addr, "reader").expect("connect");
+            let status = client.query_status();
+            let _ = binary.send(("binary status", status.is_ok_and(|s| s.wire.queries >= 1)));
+            let alarms = client.query_alarms_chunk(0);
+            let _ = binary.send((
+                "binary alarms",
+                alarms.is_ok_and(|c| c.total == 0 && c.watermark_secs == f64::NEG_INFINITY),
+            ));
+        });
+        let text = tx.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let _ = stream.set_read_timeout(Some(REPLY_WITHIN));
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            let _ = stream.write_all(b"TEXT\nstatus\n");
+            let status = reader.read_line(&mut line).is_ok() && line.starts_with("{\"wire\"");
+            let _ = text.send(("text status", status));
+            let _ = stream.write_all(b"alarms 0\n");
+            let mut lines = Vec::new();
+            for _ in 0..2 {
+                line.clear();
+                if reader.read_line(&mut line).is_err() {
+                    break;
+                }
+                lines.push(line.trim_end().to_string());
+            }
+            let _ = text.send(("text alarms", lines == ["alarms 0", "end"]));
+        });
+        let direct = tx.clone();
+        let handle = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let released = handle.released_events();
+            let sequence = handle.status().fleet.sequence;
+            drop(handle);
+            let _ = direct.send(("Server::status", released == 0 && sequence >= 1));
+        });
+        for _ in 0..5 {
+            let (query, ok) = rx
+                .recv_timeout(REPLY_WITHIN)
+                .expect("every query is answered while the engine is held");
+            assert!(ok, "{query}: unexpected reply");
+        }
+
+        // A batch arriving now waits for the engine, and is acked once
+        // the lock drops.
+        let feeder = tx;
+        std::thread::spawn(move || {
+            let mut client = ServeClient::connect(addr, "feeder").expect("connect");
+            let record = Record {
+                machine_id: 1,
+                counter: Counter::AvailableBytes.code(),
+                time_secs: 0.0,
+                value: 1e6,
+            };
+            let acked = client.send_batch(&[record]).is_ok() && client.flush().is_ok();
+            let _ = feeder.send(("batch", acked && client.records_accepted() == 1));
+        });
+        // Two binary sessions sent a Hello each, then two queries and
+        // the batch: once the batch frame is counted, its commit is
+        // waiting on the engine.
+        let deadline = Instant::now() + REPLY_WITHIN;
+        while server.shared.read_side().wire.frames < 5 {
+            assert!(Instant::now() < deadline, "the batch frame never arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            rx.try_recv().is_err(),
+            "a batch was acked while the engine was held"
+        );
+        drop(engine);
+        let (_, acked) = rx
+            .recv_timeout(REPLY_WITHIN)
+            .expect("the batch is acked once the engine is free");
+        assert!(acked, "the batch was not acked with its one record");
+        let report = Arc::try_unwrap(server)
+            .expect("every other handle is gone")
+            .shutdown();
+        assert_eq!(report.wire.records, 1);
+        assert_eq!(report.wire.queries, 4);
+    }
 
     /// A `Write` that records every call, standing in for the socket.
     #[derive(Default)]

@@ -406,6 +406,9 @@ pub struct Store {
     journal_len: u64,
     /// Snapshots committed over the store's lifetime.
     snapshots_committed: u64,
+    /// The frame each append builds, kept between appends so a journal
+    /// fed entries no larger than one it has seen allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl Store {
@@ -466,6 +469,7 @@ impl Store {
             appended_bytes: 0,
             journal_len: scan.truncate_to,
             snapshots_committed: 0,
+            frame: Vec::new(),
         };
         let recovery = Recovery {
             snapshot,
@@ -505,14 +509,15 @@ impl Store {
             )));
         }
         let id = self.next_id;
-        let mut frame = Vec::with_capacity(payload.len() + 8 + FRAME_OVERHEAD);
-        let start = begin_frame(&mut frame);
+        let frame = &mut self.frame;
+        frame.clear();
+        let start = begin_frame(frame);
         frame.extend_from_slice(&id.to_le_bytes());
         frame.extend_from_slice(payload);
-        finish_frame(&mut frame, start);
+        finish_frame(frame, start);
 
         self.journal
-            .write_all(&frame)
+            .write_all(frame)
             .map_err(|e| io_err(&self.journal_path, "append", &e))?;
         self.journal
             .flush()

@@ -92,6 +92,25 @@ pub enum AlertDetail {
     },
 }
 
+impl AlertDetail {
+    /// Tag of an [`AlertDetail::Holder`] payload.
+    pub const HOLDER_TAG: u8 = 0;
+    /// Tag of an [`AlertDetail::Trend`] payload.
+    pub const TREND_TAG: u8 = 1;
+    /// Tag of an [`AlertDetail::Spectrum`] payload.
+    pub const SPECTRUM_TAG: u8 = 2;
+
+    /// The payload's tag, which leads it in both alarm codecs (see
+    /// [`AlarmKind::tag`](crate::pipeline::AlarmKind::tag)).
+    pub fn tag(&self) -> u8 {
+        match self {
+            AlertDetail::Holder(_) => AlertDetail::HOLDER_TAG,
+            AlertDetail::Trend { .. } => AlertDetail::TREND_TAG,
+            AlertDetail::Spectrum { .. } => AlertDetail::SPECTRUM_TAG,
+        }
+    }
+}
+
 /// An alert emitted by a [`StreamingDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamAlert {
@@ -520,6 +539,8 @@ impl StreamingDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::AlarmKind;
+    use aging_core::detector::Trigger;
 
     #[test]
     fn family_codes_and_names_round_trip() {
@@ -541,6 +562,47 @@ mod tests {
         }
         assert_eq!(DetectorSpec::family_name(3), None);
         assert_eq!(DetectorSpec::family_code_of("trend"), None);
+
+        // Alarm-event tags: a detail's tag is its family's code, and each
+        // kind's tag is its position.
+        let alert = Alert {
+            sample_index: 7,
+            level: AlertLevel::Alarm,
+            trigger: Trigger::Both,
+            dimension: 1.5,
+            mean_holder: 0.2,
+            dimension_baseline: 1.2,
+            holder_baseline: 0.4,
+        };
+        let details = [
+            AlertDetail::Holder(alert),
+            AlertDetail::Trend { eta_secs: None },
+            AlertDetail::Spectrum {
+                delta_alpha: 0.9,
+                baseline_width: 0.5,
+            },
+        ];
+        for (detail, spec) in details.iter().zip(&specs) {
+            assert_eq!(detail.tag(), spec.family_code());
+        }
+        let kinds = [
+            AlarmKind::Detector {
+                counter: aging_memsim::Counter::AvailableBytes,
+                detector: specs[0].name(),
+                detail: details[0],
+            },
+            AlarmKind::MachineAlarm {
+                votes: 1,
+                members: 2,
+            },
+            AlarmKind::Restart {
+                reason: aging_rejuv::RestartReason::Alarm,
+                downtime_secs: 60.0,
+            },
+        ];
+        for (i, kind) in kinds.iter().enumerate() {
+            assert_eq!(usize::from(kind.tag()), i);
+        }
     }
 
     fn tiny_config() -> DetectorConfig {

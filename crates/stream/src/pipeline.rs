@@ -89,6 +89,27 @@ pub enum AlarmKind {
     },
 }
 
+impl AlarmKind {
+    /// Tag of an [`AlarmKind::Detector`] event.
+    pub const DETECTOR_TAG: u8 = 0;
+    /// Tag of an [`AlarmKind::MachineAlarm`] event.
+    pub const MACHINE_ALARM_TAG: u8 = 1;
+    /// Tag of an [`AlarmKind::Restart`] event.
+    pub const RESTART_TAG: u8 = 2;
+
+    /// The kind's tag, which leads the kind in both alarm codecs: the
+    /// wire's event codec and the supervisor's persisted history. The two
+    /// lay out the rest of an event differently; the tags are part of
+    /// both formats.
+    pub fn tag(&self) -> u8 {
+        match self {
+            AlarmKind::Detector { .. } => AlarmKind::DETECTOR_TAG,
+            AlarmKind::MachineAlarm { .. } => AlarmKind::MACHINE_ALARM_TAG,
+            AlarmKind::Restart { .. } => AlarmKind::RESTART_TAG,
+        }
+    }
+}
+
 /// One event produced by a machine pipeline.
 ///
 /// `time_secs` is the *true* stream time of the tick that produced the

@@ -206,48 +206,35 @@ pub struct AlarmEvent {
 
 /// Version byte leading the persisted alarm-history snapshot blob.
 const FLEET_SNAPSHOT_VERSION: u8 = 1;
-const EVENT_DETECTOR: u8 = 0;
-const EVENT_MACHINE_ALARM: u8 = 1;
-const EVENT_RESTART: u8 = 2;
-const DETAIL_HOLDER: u8 = 0;
-const DETAIL_TREND: u8 = 1;
-const DETAIL_SPECTRUM: u8 = 2;
 
 fn encode_alarm_event(event: &AlarmEvent, out: &mut Vec<u8>) {
     persist::put_u64(out, event.machine_index as u64);
     persist::put_str(out, &event.machine);
     persist::put_f64(out, event.time_secs);
     persist::put_u8(out, event.level.code());
+    persist::put_u8(out, event.kind.tag());
     match &event.kind {
         AlarmKind::Detector {
             counter,
             detector,
             detail,
         } => {
-            persist::put_u8(out, EVENT_DETECTOR);
             persist::put_u8(out, counter.code());
             persist::put_str(out, detector);
+            persist::put_u8(out, detail.tag());
             match detail {
-                AlertDetail::Holder(alert) => {
-                    persist::put_u8(out, DETAIL_HOLDER);
-                    alert.encode(out);
-                }
-                AlertDetail::Trend { eta_secs } => {
-                    persist::put_u8(out, DETAIL_TREND);
-                    persist::put_opt_f64(out, *eta_secs);
-                }
+                AlertDetail::Holder(alert) => alert.encode(out),
+                AlertDetail::Trend { eta_secs } => persist::put_opt_f64(out, *eta_secs),
                 AlertDetail::Spectrum {
                     delta_alpha,
                     baseline_width,
                 } => {
-                    persist::put_u8(out, DETAIL_SPECTRUM);
                     persist::put_f64(out, *delta_alpha);
                     persist::put_f64(out, *baseline_width);
                 }
             }
         }
         AlarmKind::MachineAlarm { votes, members } => {
-            persist::put_u8(out, EVENT_MACHINE_ALARM);
             persist::put_usize(out, *votes);
             persist::put_usize(out, *members);
         }
@@ -255,7 +242,6 @@ fn encode_alarm_event(event: &AlarmEvent, out: &mut Vec<u8>) {
             reason,
             downtime_secs,
         } => {
-            persist::put_u8(out, EVENT_RESTART);
             persist::put_u8(out, reason.code());
             persist::put_f64(out, *downtime_secs);
         }
@@ -268,7 +254,7 @@ fn decode_alarm_event(r: &mut persist::Reader<'_>) -> Result<AlarmEvent> {
     let time_secs = r.f64()?;
     let level = AlertLevel::from_code(r.u8()?)?;
     let kind = match r.u8()? {
-        EVENT_DETECTOR => {
+        AlarmKind::DETECTOR_TAG => {
             let code = r.u8()?;
             let counter = Counter::from_code(code)
                 .ok_or_else(|| Error::invalid("store", format!("bad counter code {code}")))?;
@@ -280,11 +266,11 @@ fn decode_alarm_event(r: &mut persist::Reader<'_>) -> Result<AlarmEvent> {
                     Error::invalid("store", format!("unknown detector name {name:?}"))
                 })?;
             let detail = match r.u8()? {
-                DETAIL_HOLDER => AlertDetail::Holder(Alert::decode(r)?),
-                DETAIL_TREND => AlertDetail::Trend {
+                AlertDetail::HOLDER_TAG => AlertDetail::Holder(Alert::decode(r)?),
+                AlertDetail::TREND_TAG => AlertDetail::Trend {
                     eta_secs: r.opt_f64()?,
                 },
-                DETAIL_SPECTRUM => AlertDetail::Spectrum {
+                AlertDetail::SPECTRUM_TAG => AlertDetail::Spectrum {
                     delta_alpha: r.f64()?,
                     baseline_width: r.f64()?,
                 },
@@ -296,11 +282,11 @@ fn decode_alarm_event(r: &mut persist::Reader<'_>) -> Result<AlarmEvent> {
                 detail,
             }
         }
-        EVENT_MACHINE_ALARM => AlarmKind::MachineAlarm {
+        AlarmKind::MACHINE_ALARM_TAG => AlarmKind::MachineAlarm {
             votes: r.usize_()?,
             members: r.usize_()?,
         },
-        EVENT_RESTART => AlarmKind::Restart {
+        AlarmKind::RESTART_TAG => AlarmKind::Restart {
             reason: RestartReason::from_code(r.u8()?)?,
             downtime_secs: r.f64()?,
         },
