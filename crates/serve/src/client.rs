@@ -84,6 +84,8 @@ pub struct ServeClient {
     enc: Vec<u8>,
     /// Reused span-split scratch for [`ServeClient::send_column`].
     spans: Vec<(usize, usize)>,
+    /// Reused socket read buffer — a read zeroes nothing.
+    rx: Box<[u8]>,
 }
 
 impl ServeClient {
@@ -125,6 +127,7 @@ impl ServeClient {
             busy_frames: 0,
             enc: Vec::new(),
             spans: Vec::new(),
+            rx: vec![0u8; 16 * 1024].into_boxed_slice(),
         };
         client.send(&Frame::Hello {
             version,
@@ -575,12 +578,11 @@ impl ServeClient {
     /// Reads more bytes from the socket into the decoder, failing past
     /// the deadline.
     fn fill(&mut self, deadline: Instant) -> Result<()> {
-        let mut buf = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut buf) {
+            match self.stream.read(&mut self.rx) {
                 Ok(0) => return Err(Error::Io("server closed the connection".into())),
                 Ok(n) => {
-                    self.dec.feed(&buf[..n]);
+                    self.dec.feed(&self.rx[..n]);
                     return Ok(());
                 }
                 Err(e)
