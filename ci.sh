@@ -37,10 +37,13 @@ AGING_THREADS=4 cargo test --workspace --quiet
 # proptests, the chaos differential, the serve loopback and
 # kill-and-recover differentials, the serve read-side query promises
 # (crates/serve/tests/query_read_side.rs), the cluster parity
-# differential, the rejuvenation decision-parity and golden suites, and
-# the allocation guards (crates/stream/tests/alloc_regression.rs and the
-# journal's crates/store/tests/append_alloc.rs). Only the repro
-# differentials below need their own step.
+# differential, the rejuvenation decision-parity and golden suites, the
+# JSON fixtures and the from_str totality proptest
+# (crates/bench/tests/json_fixtures.rs, json_props.rs), and the
+# allocation guards (crates/stream/tests/alloc_regression.rs, the
+# journal's crates/store/tests/append_alloc.rs and the status JSON's
+# crates/serve/tests/json_alloc.rs). Only the repro differentials below
+# need their own step.
 
 # The benchmark is a package of its own (not a workspace member), so the
 # workspace passes never build it: check that it still compiles against
