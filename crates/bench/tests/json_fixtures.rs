@@ -506,8 +506,8 @@ fn parse_table() {
     );
 
     // Structs: unknown keys are skipped, the first of a repeated key
-    // wins, a missing field reads as `null` would (an `Option` is
-    // `None`, a float is NaN) and is otherwise an error naming it.
+    // wins, and a missing field is `None` for an `Option` and otherwise
+    // an error naming it (even a float, which reads `null` as NaN).
     check::<ActiveWindow>(
         "{\"onset_secs\":1,\"duration_secs\":2}",
         Value("ActiveWindow { onset_secs: 1.0, duration_secs: 2.0 }"),
@@ -532,10 +532,7 @@ fn parse_table() {
         "{\"onset\\u005fsecs\":1,\"duration_secs\":2}",
         Value("ActiveWindow { onset_secs: 1.0, duration_secs: 2.0 }"),
     );
-    check::<ActiveWindow>(
-        "{\"onset_secs\":1}",
-        Value("ActiveWindow { onset_secs: 1.0, duration_secs: NaN }"),
-    );
+    check::<ActiveWindow>("{\"onset_secs\":1}", Error("missing field `duration_secs`"));
     check::<ActiveWindow>("{\"onset_secs\":1,\"duration_secs\":2} x", Error(""));
     check::<ActiveWindow>("{\"onset_secs\":1,\"duration_secs\":2,}", Error(""));
     check::<ActiveWindow>("{\"onset_secs\" 1,\"duration_secs\":2}", Error(""));
