@@ -21,7 +21,7 @@ use crate::codec::FrameDecoder;
 use crate::protocol::{
     columnar_spans, encode_batch_frame_into, encode_columnar_frame_into, encode_frame_into, Frame,
     Record, ServeEvent, COLUMN_HEADER_BYTES, COLUMN_RECORD_BYTES, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_V2, RECORD_BYTES,
+    PROTOCOL_VERSION_V2, PROTOCOL_VERSION_V3, RECORD_BYTES,
 };
 use crate::server::ServeStatus;
 
@@ -90,15 +90,15 @@ pub struct ServeClient {
 
 impl ServeClient {
     /// Connects and completes the `Hello`/`HelloAck` handshake, offering
-    /// [`PROTOCOL_VERSION_V2`] (the server negotiates down to v1 if that
-    /// is all it speaks — check [`ServeClient::version`]).
+    /// [`PROTOCOL_VERSION_V3`] (the server negotiates down to what it
+    /// speaks — check [`ServeClient::version`]).
     ///
     /// # Errors
     ///
     /// [`Error::Io`] on socket failure, a rejected protocol version, or
     /// an unexpected handshake reply.
     pub fn connect(addr: SocketAddr, name: &str) -> Result<ServeClient> {
-        ServeClient::connect_with_version(addr, name, PROTOCOL_VERSION_V2)
+        ServeClient::connect_with_version(addr, name, PROTOCOL_VERSION_V3)
     }
 
     /// Connects offering a specific protocol version — how a v1-only
@@ -339,7 +339,9 @@ impl ServeClient {
         self.send(&Frame::MachineDone { machine_id })
     }
 
-    /// Fetches the server's status document.
+    /// Fetches the server's status document: decoded from the binary
+    /// [`Frame::Status`] on a v3 session, parsed from the JSON
+    /// [`Frame::StatusReply`] below it.
     ///
     /// # Errors
     ///
@@ -347,6 +349,7 @@ impl ServeClient {
     pub fn query_status(&mut self) -> Result<ServeStatus> {
         self.send(&Frame::QueryStatus)?;
         match self.recv_reply()? {
+            Frame::Status { status } => Ok(status),
             Frame::StatusReply { json } => {
                 serde_json::from_str(&json).map_err(|e| Error::Io(format!("bad status reply: {e}")))
             }

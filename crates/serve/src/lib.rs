@@ -84,6 +84,7 @@ pub use loadgen::{drive, drive_with_ids, BatchMode, LoadgenConfig, LoadgenReport
 pub use protocol::{
     column_delta_units, columnar_spans, decode_events, encode_events, expand_column_times, Frame,
     Record, ServeEvent, DEFAULT_MAX_FRAME, PROTOCOL_VERSION, PROTOCOL_VERSION_V2,
+    PROTOCOL_VERSION_V3,
 };
 pub use server::{
     PersistStats, ServeConfig, ServeConfigBuilder, ServeReport, ServeStatus, Server, WireCounters,

@@ -36,7 +36,7 @@
 //! The client opens with [`Frame::Hello`] carrying its highest spoken
 //! version; the server answers [`Frame::HelloAck`] whose `version` is the
 //! *negotiated* version — the minimum of the client's and the server's
-//! ([`PROTOCOL_VERSION_V2`]) — plus the credit `window` (max unacked
+//! ([`PROTOCOL_VERSION_V3`]) — plus the credit `window` (max unacked
 //! batches the client may have in flight) and `max_frame`. A client
 //! version below [`PROTOCOL_VERSION`] is answered with [`Frame::Error`]
 //! (code [`ERR_VERSION`]) and the connection closes; a version *above*
@@ -55,6 +55,11 @@
 //! (non-finite, non-monotone, too coarse, or `u32` overflow), so senders
 //! fall back to fresh-`t0` spans rather than ship lossy deltas.
 //!
+//! Version 3 answers [`Frame::QueryStatus`] with the fixed-layout binary
+//! [`Frame::Status`] instead of the JSON [`Frame::StatusReply`], so
+//! neither side of a status round trip does any JSON. Sessions at v1 and
+//! v2 keep the JSON reply byte for byte, and so does text mode.
+//!
 //! # Text fallback
 //!
 //! A connection whose first five bytes are `TEXT\n` (see [`TEXT_PREAMBLE`])
@@ -70,13 +75,20 @@ use aging_stream::supervisor::AlarmKind;
 use aging_timeseries::persist::Reader;
 use aging_timeseries::{Error, Result};
 
+use crate::server::ServeStatus;
+
 /// Baseline protocol version: record batches only.
 pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Protocol version 2: baseline plus the columnar batch frame
-/// ([`Frame::BatchColumnar`]). The highest version this crate speaks;
-/// sessions negotiate `min(client, server)` in the handshake.
+/// ([`Frame::BatchColumnar`]) and the spectrum and rejuvenation queries.
 pub const PROTOCOL_VERSION_V2: u8 = 2;
+
+/// Protocol version 3: v2 with status queries answered by the binary
+/// [`Frame::Status`] instead of the JSON [`Frame::StatusReply`]. The
+/// highest version this crate speaks; sessions negotiate
+/// `min(client, server)` in the handshake.
+pub const PROTOCOL_VERSION_V3: u8 = 3;
 
 /// Timestamp resolution of a columnar frame: delta units per second.
 /// One unit is 2⁻²⁰ s (~0.95 µs) — an exact binary fraction, so scaling
@@ -166,6 +178,10 @@ pub struct ServeEvent {
 }
 
 /// A parsed frame payload.
+// `Status` holds its document inline, several times the size of any
+// other variant, so that decoding it allocates nothing; a boxed status
+// would cost an allocation per read.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client handshake: protocol version and a display name.
@@ -236,12 +252,25 @@ pub enum Frame {
     },
     /// Request the fleet-level status snapshot.
     QueryStatus,
-    /// Fleet status as JSON — serialises [`crate::server::ServeStatus`],
-    /// whose `fleet` field is the same [`aging_stream::telemetry::Snapshot`]
-    /// schema the supervisor dumps.
+    /// Fleet status as JSON — serialises [`ServeStatus`], whose `fleet`
+    /// field is the same [`aging_stream::telemetry::Snapshot`] schema the
+    /// supervisor dumps. The reply on sessions negotiated below
+    /// [`PROTOCOL_VERSION_V3`].
     StatusReply {
         /// The JSON document.
         json: String,
+    },
+    /// Fleet status in binary (protocol v3): the reply to
+    /// [`Frame::QueryStatus`] on a session negotiated at
+    /// [`PROTOCOL_VERSION_V3`]. The payload has a fixed layout: the 14
+    /// wire counters ([`crate::server::WireCounters::encode_state`]),
+    /// then the fleet snapshot field by field
+    /// ([`aging_stream::telemetry::StatusSnapshot::encode_state`]). Every
+    /// integer is a little-endian `u64`, the `usize` fields included, and
+    /// `stream_time_secs` travels as its `f64` bits.
+    Status {
+        /// The status document.
+        status: ServeStatus,
     },
     /// Request one machine's pipeline snapshot.
     QueryMachine {
@@ -362,6 +391,7 @@ const TAG_QUERY_SPECTRUM: u8 = 0x11;
 const TAG_SPECTRUM_REPLY: u8 = 0x12;
 const TAG_QUERY_REJUV: u8 = 0x13;
 const TAG_REJUV_REPLY: u8 = 0x14;
+const TAG_STATUS: u8 = 0x15;
 
 /// CRC-32 (IEEE, reflected) — the per-frame checksum. The journal's
 /// [`aging_store`] implementation is the one copy: wire frames and
@@ -706,6 +736,11 @@ impl Frame {
                 out.extend_from_slice(&(json.len() as u32).to_le_bytes());
                 out.extend_from_slice(json.as_bytes());
             }
+            Frame::Status { status } => {
+                out.push(TAG_STATUS);
+                status.wire.encode_state(out);
+                status.fleet.encode_state(out);
+            }
             Frame::QueryMachine { machine_id } => {
                 out.push(TAG_QUERY_MACHINE);
                 out.extend_from_slice(&machine_id.to_le_bytes());
@@ -866,6 +901,12 @@ impl Frame {
             TAG_STATUS_REPLY => Frame::StatusReply {
                 json: read_string(&mut r, Reader::u32)?,
             },
+            TAG_STATUS => {
+                let mut status = ServeStatus::default();
+                status.wire.restore_state(&mut r)?;
+                status.fleet.restore_state(&mut r)?;
+                Frame::Status { status }
+            }
             TAG_QUERY_MACHINE => Frame::QueryMachine {
                 machine_id: r.u64()?,
             },
@@ -1046,7 +1087,58 @@ pub fn encode_columnar_frame_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::WireCounters;
     use aging_core::detector::Trigger;
+    use aging_stream::telemetry::{LatencyHistogram, StageCounters, StatusSnapshot};
+
+    /// A status at stream time `t`, every counter at `n`.
+    fn status(t: f64, n: u64) -> ServeStatus {
+        ServeStatus {
+            wire: WireCounters {
+                connections: n,
+                sessions_closed: 1,
+                text_sessions: 2,
+                frames: n,
+                batches: 4,
+                records: 5,
+                records_rejected: 6,
+                acks_sent: 7,
+                busy_sent: 8,
+                malformed_frames: 9,
+                corrupt_streams: 10,
+                quarantined: 11,
+                session_panics: 12,
+                queries: n,
+            },
+            fleet: StatusSnapshot {
+                sequence: n,
+                stream_time_secs: t,
+                machines_live: 3,
+                machines_finished: usize::try_from(n).unwrap_or(usize::MAX),
+                ingestion: StageCounters {
+                    ingested: n,
+                    accepted: 13,
+                    dropped_non_finite: 14,
+                    dropped_out_of_order: 15,
+                    gaps_detected: 16,
+                    quarantines: 17,
+                },
+                detector_latency: LatencyHistogram {
+                    counts: [1, 2, 3, 4, 5, 6, 7, 8, n],
+                    total: n,
+                    sum_us: 18,
+                    max_us: n,
+                },
+                warnings_emitted: 19,
+                alarms_emitted: 20,
+                alarm_queue_depth: 21,
+                telemetry_dropped: 22,
+                detector_errors: 23,
+                restarts_granted: 24,
+                restarts_denied: n,
+            },
+        }
+    }
 
     #[test]
     fn counter_codes_round_trip() {
@@ -1109,6 +1201,18 @@ mod tests {
             Frame::QueryStatus,
             Frame::StatusReply {
                 json: "{\"x\":1}".into(),
+            },
+            Frame::Status {
+                status: status(277_950.0, 79),
+            },
+            Frame::Status {
+                status: status(f64::NAN, u64::MAX),
+            },
+            Frame::Status {
+                status: status(f64::INFINITY, 0),
+            },
+            Frame::Status {
+                status: status(f64::NEG_INFINITY, u64::MAX),
             },
             Frame::QueryMachine { machine_id: 3 },
             Frame::MachineReply { json: None },
@@ -1226,6 +1330,15 @@ mod tests {
             // NaN-carrying batches can't use PartialEq; compare by
             // re-encoding, which is bit-exact.
             assert_eq!(payload, back.encode_payload(), "{frame:?}");
+            if let Frame::Status { status } = &frame {
+                // A fixed layout: the tag, then 14 wire counters and the
+                // snapshot's 29 words.
+                assert_eq!(payload.len(), 1 + (14 + 29) * 8);
+                assert_eq!(payload[0], 0x15);
+                if !status.fleet.stream_time_secs.is_nan() {
+                    assert_eq!(&back, &frame);
+                }
+            }
         }
     }
 
@@ -1290,6 +1403,12 @@ mod tests {
                     widths: vec![(0, 0.42), (1, 0.13)],
                 },
                 Some(1 + 8 + 1),
+            ),
+            (
+                Frame::Status {
+                    status: status(f64::NAN, u64::MAX),
+                },
+                None,
             ),
             (
                 Frame::AlarmsReply {

@@ -95,7 +95,8 @@ use crate::codec::{parse_text_line, FrameDecoder, TextCommand};
 use crate::protocol::{
     append_frame, decode_event, encode_event, encode_events, expand_column_times, read_events,
     Frame, Record, ServeEvent, DEFAULT_MAX_FRAME, ERR_MALFORMED, ERR_QUARANTINED, ERR_STORE,
-    ERR_VERSION, PROTOCOL_VERSION, PROTOCOL_VERSION_V2, RECORD_BYTES, TEXT_PREAMBLE,
+    ERR_VERSION, PROTOCOL_VERSION, PROTOCOL_VERSION_V2, PROTOCOL_VERSION_V3, RECORD_BYTES,
+    TEXT_PREAMBLE,
 };
 
 /// Journal entry kind: a binary [`Frame::Batch`] (replay counts a batch).
@@ -435,11 +436,35 @@ impl WireCounters {
             *mine += *theirs;
         }
     }
+
+    /// Appends every counter as a little-endian `u64`, in the order an
+    /// engine snapshot stores them; the binary status frame leads with
+    /// the same bytes.
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        let mut counters = *self;
+        for v in counters.fields_mut() {
+            persist::put_u64(out, *v);
+        }
+    }
+
+    /// Restores counters written by [`WireCounters::encode_state`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] on a truncated blob.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        for field in self.fields_mut() {
+            *field = r.u64()?;
+        }
+        Ok(())
+    }
 }
 
-/// The JSON document answering a status query: wire counters plus the
-/// same fleet [`Snapshot`] schema the in-process supervisor dumps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The document answering a status query: wire counters plus the same
+/// fleet [`Snapshot`] schema the in-process supervisor dumps. It travels
+/// as JSON on v1 and v2 sessions and in text mode, and as the binary
+/// [`Frame::Status`] on v3.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeStatus {
     /// Wire-level counters.
     pub wire: WireCounters,
@@ -890,11 +915,7 @@ impl Engine {
         persist::put_u64(&mut out, read.status_seq);
         persist::put_u64(&mut out, self.warnings);
         persist::put_u64(&mut out, self.alarms);
-        let mut wire = read.wire;
-        drop(read);
-        for v in wire.fields_mut() {
-            persist::put_u64(&mut out, *v);
-        }
+        read.wire.encode_state(&mut out);
         out
     }
 
@@ -952,9 +973,7 @@ impl Engine {
         self.warnings = r.u64()?;
         self.alarms = r.u64()?;
         let mut wire = WireCounters::default();
-        for field in wire.fields_mut() {
-            *field = r.u64()?;
-        }
+        wire.restore_state(&mut r)?;
         r.finish()?;
         let mut read = lock(&self.read);
         read.released = released;
@@ -1662,7 +1681,7 @@ enum FrameOutcome {
 struct SessionState {
     /// Negotiated protocol version. Starts at [`PROTOCOL_VERSION`] (v1)
     /// so a client that skips `Hello` gets baseline semantics; the
-    /// handshake raises it to `min(client, PROTOCOL_VERSION_V2)`.
+    /// handshake raises it to `min(client, PROTOCOL_VERSION_V3)`.
     version: u8,
     /// Reused expansion buffer for columnar timestamps.
     times: Vec<f64>,
@@ -1811,14 +1830,14 @@ fn handle_frame(
                 outbox.push(&Frame::Error {
                     code: ERR_VERSION,
                     message: format!(
-                        "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION}..={PROTOCOL_VERSION_V2})"
+                        "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION}..={PROTOCOL_VERSION_V3})"
                     ),
                 });
                 return FrameOutcome::Close;
             }
             // Negotiate down to the highest version both sides speak; a
-            // future client above v2 is served at v2.
-            sess.version = version.min(PROTOCOL_VERSION_V2);
+            // future client above v3 is served at v3.
+            sess.version = version.min(PROTOCOL_VERSION_V3);
             outbox.push(&Frame::HelloAck {
                 version: sess.version,
                 window: cfg.window,
@@ -1858,9 +1877,14 @@ fn handle_frame(
             }
         }
         Frame::QueryStatus => {
-            outbox.push(&Frame::StatusReply {
-                json: status_reply(shared),
-            });
+            let status = status_reply(shared);
+            if sess.version >= PROTOCOL_VERSION_V3 {
+                outbox.push(&Frame::Status { status });
+            } else {
+                outbox.push(&Frame::StatusReply {
+                    json: status_json(&status),
+                });
+            }
             FrameOutcome::Continue
         }
         Frame::QueryMachine { machine_id } => {
@@ -1942,6 +1966,7 @@ fn handle_frame(
         | Frame::Ack { .. }
         | Frame::Busy { .. }
         | Frame::StatusReply { .. }
+        | Frame::Status { .. }
         | Frame::MachineReply { .. }
         | Frame::AlarmsReply { .. }
         | Frame::SpectrumReply { .. }
@@ -1981,15 +2006,18 @@ fn ack_committed(
 }
 
 /// Answers a status query, binary or text, from the read side alone:
-/// counts it, stamps the next status sequence, and encodes the JSON after
-/// the lock drops.
-fn status_reply(shared: &Shared) -> String {
-    let status = {
-        let mut read = shared.read_side();
-        read.wire.queries += 1;
-        read.status()
-    };
-    serde_json::to_string(&status).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
+/// counts it and stamps the next status sequence. The lock is held only
+/// while the status is copied out; the caller encodes it after.
+fn status_reply(shared: &Shared) -> ServeStatus {
+    let mut read = shared.read_side();
+    read.wire.queries += 1;
+    read.status()
+}
+
+/// The JSON form of a status: the v1/v2 [`Frame::StatusReply`] and the
+/// text-mode `status` line.
+fn status_json(status: &ServeStatus) -> String {
+    serde_json::to_string(status).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
 }
 
 /// Answers an alarms query, binary or text, from the read side alone:
@@ -2016,26 +2044,31 @@ fn store_failed(outbox: &mut Outbox<&TcpStream>, e: &StoreError) -> FrameOutcome
 // Text sessions
 // ---------------------------------------------------------------------------
 
-fn render_event_text(event: &ServeEvent) -> String {
+/// Appends one event's text-mode line, newline included.
+fn render_event_text(event: &ServeEvent, out: &mut String) {
+    use std::fmt::Write as _;
     let level = match event.level {
         AlertLevel::Warning => "warning",
         AlertLevel::Alarm => "alarm",
     };
-    match event.kind {
+    let _ = match event.kind {
         AlarmKind::Detector {
             counter, detector, ..
-        } => format!(
+        } => writeln!(
+            out,
             "event {} {:.3} {} detector {} {}",
             event.machine_id, event.time_secs, level, counter, detector
         ),
-        AlarmKind::MachineAlarm { votes, members } => format!(
+        AlarmKind::MachineAlarm { votes, members } => writeln!(
+            out,
             "event {} {:.3} {} machine-alarm {}/{}",
             event.machine_id, event.time_secs, level, votes, members
         ),
         AlarmKind::Restart {
             reason,
             downtime_secs,
-        } => format!(
+        } => writeln!(
+            out,
             "event {} {:.3} {} restart {} {:.0}s",
             event.machine_id,
             event.time_secs,
@@ -2043,7 +2076,7 @@ fn render_event_text(event: &ServeEvent) -> String {
             reason.name(),
             downtime_secs
         ),
-    }
+    };
 }
 
 fn run_text_session(
@@ -2167,7 +2200,7 @@ fn handle_text(
             }
         }
         TextCommand::Status => {
-            let _ = send_line(stream, &status_reply(shared));
+            let _ = send_line(stream, &status_json(&status_reply(shared)));
             FrameOutcome::Continue
         }
         TextCommand::Machine { machine_id } => {
@@ -2185,11 +2218,14 @@ fn handle_text(
         }
         TextCommand::Alarms { since } => {
             let (total, _, events) = alarms_reply(shared, since);
-            let _ = send_line(stream, &format!("alarms {total}"));
+            // The header, one line per event and `end`, in one write.
+            let mut reply = format!("alarms {total}\n");
             for event in &events {
-                let _ = send_line(stream, &render_event_text(event));
+                render_event_text(event, &mut reply);
             }
-            let _ = send_line(stream, "end");
+            reply.push_str("end\n");
+            let mut out = stream;
+            let _ = out.write_all(reply.as_bytes());
             FrameOutcome::Continue
         }
         TextCommand::Bye => {

@@ -5,7 +5,9 @@
 //! byte string:
 //!
 //! - `frame.<i>`: [`encode_frame`] of every [`Frame`] variant, NaN
-//!   payloads included;
+//!   payloads included. `frame.23`, the protocol-v3 binary status, was
+//!   written from its documented layout rather than by the encoder, with
+//!   a distinct value in every field so a swap of two fields shows;
 //! - `batch_frame` and `columnar_frame.<i>`: [`encode_batch_frame_into`]
 //!   and [`encode_columnar_frame_into`] on a fixed feed;
 //! - `serve_journal`: the `journal.wal` a store-backed server writes for
@@ -39,10 +41,11 @@ use aging_serve::protocol::{
     encode_frame, Frame, Record, ServeEvent, DEFAULT_MAX_FRAME, ERR_MALFORMED, PROTOCOL_VERSION,
     PROTOCOL_VERSION_V2,
 };
-use aging_serve::{ServeConfig, Server};
+use aging_serve::{ServeConfig, ServeStatus, Server, WireCounters};
 use aging_store::{StoreConfig, JOURNAL_FILE, SNAPSHOT_FILE};
 use aging_stream::detector::{AlertDetail, DetectorSpec};
 use aging_stream::supervisor::{AlarmKind, CounterDetector, FleetConfig, FleetSupervisor};
+use aging_stream::telemetry::{LatencyHistogram, StageCounters, StatusSnapshot};
 
 const FIXTURE: &str = include_str!("fixtures/byte_layer.txt");
 
@@ -239,6 +242,53 @@ fn frames() -> Vec<Frame> {
         Frame::Error {
             code: ERR_MALFORMED,
             message: "bad tag".into(),
+        },
+        Frame::Status {
+            status: ServeStatus {
+                wire: WireCounters {
+                    connections: 1,
+                    sessions_closed: 2,
+                    text_sessions: 3,
+                    frames: 4,
+                    batches: 5,
+                    records: 6,
+                    records_rejected: 7,
+                    acks_sent: 8,
+                    busy_sent: 9,
+                    malformed_frames: 10,
+                    corrupt_streams: 11,
+                    quarantined: 12,
+                    session_panics: 13,
+                    queries: 14,
+                },
+                fleet: StatusSnapshot {
+                    sequence: 15,
+                    stream_time_secs: 277_950.5,
+                    machines_live: 16,
+                    machines_finished: 17,
+                    ingestion: StageCounters {
+                        ingested: 18,
+                        accepted: 19,
+                        dropped_non_finite: 20,
+                        dropped_out_of_order: 21,
+                        gaps_detected: 22,
+                        quarantines: 23,
+                    },
+                    detector_latency: LatencyHistogram {
+                        counts: [24, 25, 26, 27, 28, 29, 30, 31, 32],
+                        total: 33,
+                        sum_us: 34,
+                        max_us: 35,
+                    },
+                    warnings_emitted: 36,
+                    alarms_emitted: 37,
+                    alarm_queue_depth: 38,
+                    telemetry_dropped: 39,
+                    detector_errors: 40,
+                    restarts_granted: 41,
+                    restarts_denied: 42,
+                },
+            },
         },
     ]
 }

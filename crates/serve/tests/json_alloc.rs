@@ -1,19 +1,21 @@
-//! Allocation guard for the status document's JSON.
+//! Allocation guard for the status document, in JSON and in binary.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, like
 //! `crates/store/tests/append_alloc.rs`. `serde_json` writes a
 //! [`ServeStatus`] straight into one output buffer, so encoding it costs
 //! only that buffer's growth, and parses it with no allocation at all:
-//! every key is borrowed from the input and every field is a number.
+//! every key is borrowed from the input and every field is a number. The
+//! protocol-v3 binary [`Frame::Status`] allocates nothing either way once
+//! its buffer is warm.
 //!
-//! Std only. Everything runs in ONE `#[test]`, and counting is gated per
-//! thread, so the test harness cannot charge its own allocations to the
-//! measured window.
+//! Std only. Counting is gated per thread, so neither the test harness
+//! nor the other test can charge its allocations to a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use aging_serve::protocol::{encode_frame_into, Frame};
 use aging_serve::{ServeStatus, WireCounters};
 use aging_stream::{LatencyHistogram, StageCounters, StatusSnapshot};
 
@@ -151,4 +153,30 @@ fn status_json_encodes_into_one_buffer_and_parses_without_allocating() {
         serde_json::to_string(&parsed.expect("parse")).expect("encode"),
         json
     );
+}
+
+#[test]
+fn status_frame_encodes_and_decodes_without_allocating() {
+    let frame = Frame::Status { status: status() };
+    let mut wire = Vec::new();
+    encode_frame_into(&frame, &mut wire);
+    let warm = wire.clone();
+
+    let (allocations, ()) = counted(|| encode_frame_into(&frame, &mut wire));
+    assert_eq!(wire, warm);
+    assert_eq!(
+        allocations,
+        0,
+        "encoding a {}-byte status frame into a warm buffer allocated {allocations} times",
+        wire.len()
+    );
+
+    // The payload sits between the length word and the CRC.
+    let payload = &wire[4..wire.len() - 4];
+    let (allocations, decoded) = counted(|| Frame::decode_payload(payload));
+    assert_eq!(
+        allocations, 0,
+        "decoding the status frame allocated {allocations} times"
+    );
+    assert_eq!(decoded.expect("decode"), frame);
 }

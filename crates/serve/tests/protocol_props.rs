@@ -15,6 +15,8 @@ use aging_serve::protocol::{
     columnar_spans, counter_code, crc32, encode_columnar_frame_into, encode_frame,
     expand_column_times, Frame, Record, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
+use aging_serve::{ServeStatus, WireCounters};
+use aging_stream::telemetry::{LatencyHistogram, StageCounters, StatusSnapshot};
 use proptest::prelude::*;
 
 /// Builds a frame from generated scalars. The `kind` index picks the
@@ -114,6 +116,73 @@ fn build_frame(kind: usize, a: u64, b: u64, f: f64, text: &str, n_records: usize
                 Some(if a.is_multiple_of(7) { f64::NAN } else { f })
             },
         },
+        18 => {
+            // Every counter takes one of the generated words, and the
+            // stream clock may be non-finite.
+            let w = |i: u32| a.rotate_left(i) ^ b;
+            Frame::Status {
+                status: ServeStatus {
+                    wire: WireCounters {
+                        connections: w(0),
+                        sessions_closed: w(1),
+                        text_sessions: w(2),
+                        frames: w(3),
+                        batches: w(4),
+                        records: w(5),
+                        records_rejected: w(6),
+                        acks_sent: w(7),
+                        busy_sent: w(8),
+                        malformed_frames: w(9),
+                        corrupt_streams: w(10),
+                        quarantined: w(11),
+                        session_panics: w(12),
+                        queries: w(13),
+                    },
+                    fleet: StatusSnapshot {
+                        sequence: w(14),
+                        stream_time_secs: match a % 4 {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY,
+                            2 => f64::NEG_INFINITY,
+                            _ => f,
+                        },
+                        machines_live: n_records,
+                        machines_finished: usize::try_from(w(15)).unwrap_or(usize::MAX),
+                        ingestion: StageCounters {
+                            ingested: w(16),
+                            accepted: w(17),
+                            dropped_non_finite: w(18),
+                            dropped_out_of_order: w(19),
+                            gaps_detected: w(20),
+                            quarantines: w(21),
+                        },
+                        detector_latency: LatencyHistogram {
+                            counts: [
+                                w(22),
+                                w(23),
+                                w(24),
+                                w(25),
+                                w(26),
+                                w(27),
+                                w(28),
+                                w(29),
+                                w(30),
+                            ],
+                            total: w(31),
+                            sum_us: w(32),
+                            max_us: w(33),
+                        },
+                        warnings_emitted: w(34),
+                        alarms_emitted: w(35),
+                        alarm_queue_depth: text.len(),
+                        telemetry_dropped: w(36),
+                        detector_errors: w(37),
+                        restarts_granted: w(38),
+                        restarts_denied: w(39),
+                    },
+                },
+            }
+        }
         _ => Frame::Error {
             code: (a % 256) as u8,
             message: text.to_string(),
@@ -139,7 +208,7 @@ proptest! {
     /// byte-level comparison sidesteps NaN != NaN on decoded floats).
     #[test]
     fn frames_survive_arbitrary_chunking(
-        kinds in prop::collection::vec(0usize..19, 1..=12),
+        kinds in prop::collection::vec(0usize..20, 1..=12),
         seeds in prop::collection::vec(0u64..u64::MAX, 12..=12),
         floats in prop::collection::vec(-1e12f64..1e12, 12..=12),
         lens in prop::collection::vec(0usize..40, 12..=12),

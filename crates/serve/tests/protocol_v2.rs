@@ -3,8 +3,8 @@
 //! 1. a v1 client against a v2 server negotiates down, and
 //!    `send_column` silently falls back to per-record `Batch` frames —
 //!    same acks, no strikes, no quarantine;
-//! 2. a client offering a *future* version is negotiated down to v2
-//!    rather than rejected;
+//! 2. a client offering a *future* version is negotiated down to the
+//!    server's highest, v3, rather than rejected;
 //! 3. a pre-v1 (version 0) `Hello` is refused with `ERR_VERSION`;
 //! 4. a columnar frame on a v1-negotiated session is intact-but-invalid:
 //!    each one draws `ERR_MALFORMED` and a strike, and the strike
@@ -21,7 +21,7 @@ use aging_memsim::Counter;
 use aging_serve::codec::FrameDecoder;
 use aging_serve::protocol::{
     counter_code, encode_frame, Frame, DEFAULT_MAX_FRAME, ERR_MALFORMED, ERR_QUARANTINED,
-    ERR_VERSION, PROTOCOL_VERSION, PROTOCOL_VERSION_V2,
+    ERR_VERSION, PROTOCOL_VERSION, PROTOCOL_VERSION_V3,
 };
 use aging_serve::{ServeClient, ServeConfig, Server};
 
@@ -91,23 +91,23 @@ fn v1_client_negotiates_down_and_send_column_falls_back_to_batches() {
 }
 
 #[test]
-fn future_version_client_is_negotiated_down_to_v2() {
+fn future_version_client_is_negotiated_down_to_v3() {
     let server = test_server();
     let client = ServeClient::connect_with_version(
         server.local_addr(),
         "from-the-future",
-        PROTOCOL_VERSION_V2 + 5,
+        PROTOCOL_VERSION_V3 + 5,
     )
     .expect("future-version connect");
     assert_eq!(
         client.version(),
-        PROTOCOL_VERSION_V2,
+        PROTOCOL_VERSION_V3,
         "server caps negotiation at its own maximum"
     );
-    // The default constructor offers v2 and lands on v2.
+    // The default constructor offers v3 and lands on v3.
     let default_client =
         ServeClient::connect(server.local_addr(), "default").expect("default connect");
-    assert_eq!(default_client.version(), PROTOCOL_VERSION_V2);
+    assert_eq!(default_client.version(), PROTOCOL_VERSION_V3);
     server.shutdown();
 }
 

@@ -197,7 +197,7 @@ impl LatencyHistogram {
 }
 
 /// Point-in-time state of the whole streaming pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
     /// Monotonic snapshot ordinal (one per status period).
     pub sequence: u64,
@@ -281,6 +281,50 @@ pub struct MachineSnapshot {
 }
 
 impl StatusSnapshot {
+    /// Serializes the snapshot via [`aging_timeseries::persist`], field by
+    /// field in declaration order: integers as `u64` (the `usize` fields
+    /// widened), the stream clock as its `f64` bits, and the ingestion
+    /// counters and latency histogram through their own codecs.
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        use aging_timeseries::persist::{put_f64, put_u64, put_usize};
+        put_u64(out, self.sequence);
+        put_f64(out, self.stream_time_secs);
+        put_usize(out, self.machines_live);
+        put_usize(out, self.machines_finished);
+        self.ingestion.encode_state(out);
+        self.detector_latency.encode_state(out);
+        put_u64(out, self.warnings_emitted);
+        put_u64(out, self.alarms_emitted);
+        put_usize(out, self.alarm_queue_depth);
+        put_u64(out, self.telemetry_dropped);
+        put_u64(out, self.detector_errors);
+        put_u64(out, self.restarts_granted);
+        put_u64(out, self.restarts_denied);
+    }
+
+    /// Restores a snapshot written by [`StatusSnapshot::encode_state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`aging_timeseries::Error::InvalidParameter`] on a
+    /// truncated blob or a `usize` field the host cannot hold.
+    pub fn restore_state(&mut self, r: &mut aging_timeseries::persist::Reader<'_>) -> Result<()> {
+        self.sequence = r.u64()?;
+        self.stream_time_secs = r.f64()?;
+        self.machines_live = r.usize_()?;
+        self.machines_finished = r.usize_()?;
+        self.ingestion.restore_state(r)?;
+        self.detector_latency.restore_state(r)?;
+        self.warnings_emitted = r.u64()?;
+        self.alarms_emitted = r.u64()?;
+        self.alarm_queue_depth = r.usize_()?;
+        self.telemetry_dropped = r.u64()?;
+        self.detector_errors = r.u64()?;
+        self.restarts_granted = r.u64()?;
+        self.restarts_denied = r.u64()?;
+        Ok(())
+    }
+
     /// Serialises the snapshot as JSON.
     ///
     /// # Errors
@@ -421,6 +465,28 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(h, h2);
         assert_eq!(c, c2);
+
+        let snap = StatusSnapshot {
+            sequence: u64::MAX,
+            stream_time_secs: f64::NEG_INFINITY,
+            machines_live: 49,
+            machines_finished: usize::MAX,
+            ingestion: c,
+            detector_latency: h,
+            alarm_queue_depth: 3,
+            restarts_denied: 7,
+            ..StatusSnapshot::default()
+        };
+        blob.clear();
+        snap.encode_state(&mut blob);
+        assert_eq!(blob.len(), (4 + 6 + 12 + 7) * 8);
+        let mut back = StatusSnapshot::default();
+        let mut r = aging_timeseries::persist::Reader::new(&blob);
+        back.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, snap);
+        let mut r = aging_timeseries::persist::Reader::new(&blob[..blob.len() - 1]);
+        assert!(StatusSnapshot::default().restore_state(&mut r).is_err());
     }
 
     #[test]

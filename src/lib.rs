@@ -106,6 +106,7 @@ pub mod prelude {
     pub use aging_serve::{
         drive, BatchMode, LoadgenConfig, LoadgenReport, PersistStats, ServeClient, ServeConfig,
         ServeConfigBuilder, ServeReport, Server, PROTOCOL_VERSION, PROTOCOL_VERSION_V2,
+        PROTOCOL_VERSION_V3,
     };
     pub use aging_store::{Store, StoreConfig, StoreError};
     pub use aging_stream::supervisor::{
