@@ -36,14 +36,15 @@ AGING_THREADS=4 cargo test --workspace --quiet
 # settings, doc tests included: the spectrum streaming-vs-batch parity
 # proptests, the chaos differential, the serve loopback and
 # kill-and-recover differentials, the serve read-side query promises
-# (crates/serve/tests/query_read_side.rs), the cluster parity
-# differential, the rejuvenation decision-parity and golden suites, the
-# JSON fixtures and the from_str totality proptest
+# (crates/serve/tests/query_read_side.rs), the status reply at protocol
+# v1, v2 and v3 (crates/serve/tests/status_versions.rs), the cluster
+# parity differential, the rejuvenation decision-parity and golden
+# suites, the JSON fixtures and the from_str totality proptest
 # (crates/bench/tests/json_fixtures.rs, json_props.rs), and the
 # allocation guards (crates/stream/tests/alloc_regression.rs, the
-# journal's crates/store/tests/append_alloc.rs and the status JSON's
-# crates/serve/tests/json_alloc.rs). Only the repro differentials below
-# need their own step.
+# journal's crates/store/tests/append_alloc.rs and the status JSON's and
+# binary status frame's crates/serve/tests/json_alloc.rs). Only the repro
+# differentials below need their own step.
 
 # The benchmark is a package of its own (not a workspace member), so the
 # workspace passes never build it: check that it still compiles against
