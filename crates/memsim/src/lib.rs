@@ -49,7 +49,7 @@ pub use config::MachineConfig;
 pub use faults::{FaultPlan, FragmentationSpec, HandleLeakSpec, LeakMode, LeakSpec, ReclaimSpec};
 pub use machine::{
     simulate, simulate_fleet, simulate_fleet_in, simulate_with_reboots, Machine, Scenario,
-    SimReport,
+    SimReport, Tick,
 };
 pub use memory::{CrashCause, PagingModel};
 pub use monitor::{Counter, CrashEvent, MonitorLog, Sample};

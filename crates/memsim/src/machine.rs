@@ -166,6 +166,17 @@ impl SimReport {
     }
 }
 
+/// Where [`Machine::next_sample`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tick {
+    /// The monitor published a new row.
+    Sample(Sample),
+    /// The machine crashed before publishing one.
+    Crash(CrashEvent),
+    /// The clock reached the horizon before the next row.
+    Horizon,
+}
+
 /// A running simulated machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -334,6 +345,26 @@ impl Machine {
 
         self.step_index += 1;
         None
+    }
+
+    /// Steps until the monitor publishes a new row, stopping once the
+    /// clock reaches `horizon_secs` or on a crash. This is the one
+    /// stepping rule every live feed uses — the fleet supervisor's
+    /// shards, the stream crate's machine source and the wire load
+    /// generator — so they all see the same rows. A crashed machine
+    /// reports its crash again.
+    pub fn next_sample(&mut self, horizon_secs: f64) -> Tick {
+        loop {
+            if self.now().as_secs() >= horizon_secs {
+                return Tick::Horizon;
+            }
+            if let Some(crash) = self.step() {
+                return Tick::Crash(crash);
+            }
+            if let Some(sample) = self.last_sample {
+                return Tick::Sample(sample);
+            }
+        }
     }
 
     fn current_metrics(&mut self) -> crate::memory::MemoryMetrics {
@@ -541,6 +572,37 @@ mod tests {
             a.log.values(Counter::AvailableBytes),
             b.log.values(Counter::AvailableBytes)
         );
+    }
+
+    #[test]
+    fn next_sample_yields_each_row_then_the_crash_or_the_horizon() {
+        let scenario = Scenario::tiny_aging(4, 2048.0);
+        let mut machine = Machine::boot(&scenario).unwrap();
+        let mut rows = 0;
+        let crash = loop {
+            match machine.next_sample(4.0 * 3600.0) {
+                Tick::Sample(sample) => {
+                    rows += 1;
+                    assert_eq!(machine.log().len(), rows);
+                    assert_eq!(Some(sample), machine.last_sample());
+                }
+                Tick::Crash(crash) => break crash,
+                Tick::Horizon => panic!("the leak crashes first"),
+            }
+        };
+        assert_eq!(machine.next_sample(4.0 * 3600.0), Tick::Crash(crash));
+        assert_eq!(
+            simulate(&scenario, 4.0 * 3600.0).unwrap().log,
+            *machine.log()
+        );
+
+        let mut healthy = Machine::boot(&Scenario::tiny_aging(4, 0.0)).unwrap();
+        let mut rows = 0;
+        while let Tick::Sample(_) = healthy.next_sample(600.0) {
+            rows += 1;
+        }
+        assert_eq!(rows, 120, "600 s of 5 s rows");
+        assert_eq!(healthy.next_sample(600.0), Tick::Horizon);
     }
 
     #[test]

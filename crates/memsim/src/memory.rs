@@ -1,6 +1,14 @@
 //! The memory-subsystem model: commit accounting, an expiry ledger for
 //! workload allocations, and an aggregate paging model.
 //!
+//! The ledger books each allocation cohort under the step it expires at.
+//! Steps within [`LEDGER_RING_STEPS`] of the last expired step live in a
+//! calendar ring of per-step byte totals, so booking and expiring them
+//! touch one slot and never allocate; only the rare cohort booked beyond
+//! the ring (or at a step already expired) goes to an ordered map.
+//! Totals are integer byte counts, so where a cohort is booked cannot
+//! change what is freed, or when.
+//!
 //! The model is deliberately counter-level, not page-level: the detector
 //! under study only ever sees sampled counters (as the paper's collector
 //! did), so the simulator models exactly the quantities those counters
@@ -128,6 +136,12 @@ impl PagingModel {
     }
 }
 
+/// Steps the expiry ledger's calendar ring spans: cohorts expiring this
+/// many steps or fewer past the last expired step are booked in the ring.
+/// At one-second steps that is over an hour, past every short, medium and
+/// batch lifetime of the shipped workloads and most of the Pareto tail.
+pub const LEDGER_RING_STEPS: u64 = 4096;
+
 /// The memory subsystem of one machine.
 #[derive(Debug, Clone)]
 pub struct MemorySubsystem {
@@ -137,8 +151,16 @@ pub struct MemorySubsystem {
     thrash_threshold: f64,
     /// Live workload heap bytes.
     live: Bytes,
-    /// Expiry ledger: step index → bytes to free at that step.
-    ledger: BTreeMap<u64, Bytes>,
+    /// Near ledger: slot `s % LEDGER_RING_STEPS` holds the bytes to free
+    /// at step `s`, for every `s` in `ring_start..ring_start + LEDGER_RING_STEPS`.
+    ring: Box<[Bytes]>,
+    /// First step the ring spans: one past the last expired step.
+    ring_start: u64,
+    /// Non-empty ring slots.
+    ring_cohorts: usize,
+    /// Far ledger: step index → bytes to free at that step, for steps
+    /// outside the ring's span. No step is booked in both ledgers.
+    far: BTreeMap<u64, Bytes>,
 }
 
 impl MemorySubsystem {
@@ -155,8 +177,25 @@ impl MemorySubsystem {
             os_overhead: config.os_overhead,
             thrash_threshold: config.thrash_threshold,
             live: Bytes::ZERO,
-            ledger: BTreeMap::new(),
+            ring: vec![Bytes::ZERO; LEDGER_RING_STEPS as usize].into_boxed_slice(),
+            ring_start: 0,
+            ring_cohorts: 0,
+            far: BTreeMap::new(),
         })
+    }
+
+    /// Whether `step` lies in the ring's span.
+    fn in_ring(&self, step: u64) -> bool {
+        step >= self.ring_start && step - self.ring_start < LEDGER_RING_STEPS
+    }
+
+    /// Adds `bytes` to the ring slot of `step`, which must be in its span.
+    fn book_in_ring(&mut self, step: u64, bytes: Bytes) {
+        let slot = &mut self.ring[(step % LEDGER_RING_STEPS) as usize];
+        if *slot == Bytes::ZERO {
+            self.ring_cohorts += 1;
+        }
+        *slot += bytes;
     }
 
     /// Records an allocation of `bytes` that will be freed at `expiry_step`.
@@ -165,17 +204,40 @@ impl MemorySubsystem {
             return;
         }
         self.live += bytes;
-        *self.ledger.entry(expiry_step).or_insert(Bytes::ZERO) += bytes;
+        if self.in_ring(expiry_step) {
+            self.book_in_ring(expiry_step, bytes);
+        } else {
+            *self.far.entry(expiry_step).or_insert(Bytes::ZERO) += bytes;
+        }
     }
 
     /// Frees every cohort whose expiry step is ≤ `step`; returns the bytes
     /// freed.
     pub fn expire(&mut self, step: u64) -> Bytes {
         let mut freed = Bytes::ZERO;
-        let keys: Vec<u64> = self.ledger.range(..=step).map(|(&k, _)| k).collect();
-        for k in keys {
-            if let Some(bytes) = self.ledger.remove(&k) {
-                freed += bytes;
+        while let Some(cohort) = self.far.first_entry() {
+            if *cohort.key() > step {
+                break;
+            }
+            freed += cohort.remove();
+        }
+        if step >= self.ring_start {
+            let due = (step - self.ring_start).min(LEDGER_RING_STEPS - 1);
+            for s in self.ring_start..=self.ring_start + due {
+                let slot = &mut self.ring[(s % LEDGER_RING_STEPS) as usize];
+                if *slot != Bytes::ZERO {
+                    freed += std::mem::take(slot);
+                    self.ring_cohorts -= 1;
+                }
+            }
+            self.ring_start = step.saturating_add(1);
+            // Far cohorts the advanced span now covers move into the ring.
+            while let Some((&at, _)) = self.far.first_key_value() {
+                if !self.in_ring(at) {
+                    break;
+                }
+                let (at, bytes) = self.far.pop_first().expect("first cohort exists");
+                self.book_in_ring(at, bytes);
             }
         }
         self.live = self.live.saturating_sub(freed);
@@ -187,7 +249,11 @@ impl MemorySubsystem {
     pub fn clear_live(&mut self) -> Bytes {
         let dropped = self.live;
         self.live = Bytes::ZERO;
-        self.ledger.clear();
+        if self.ring_cohorts > 0 {
+            self.ring.fill(Bytes::ZERO);
+            self.ring_cohorts = 0;
+        }
+        self.far.clear();
         dropped
     }
 
@@ -196,9 +262,10 @@ impl MemorySubsystem {
         self.live
     }
 
-    /// Number of pending expiry cohorts (diagnostic).
+    /// Number of pending expiry cohorts: distinct steps with bytes still
+    /// to free (diagnostic).
     pub fn pending_cohorts(&self) -> usize {
-        self.ledger.len()
+        self.ring_cohorts + self.far.len()
     }
 
     /// Total commit charge given the current fault totals.
@@ -269,6 +336,61 @@ mod tests {
     }
 
     #[test]
+    fn ring_and_far_ledgers_free_like_one_ordered_map() {
+        // Cohorts booked near, beyond the ring, at expired steps and on a
+        // far step the ring later reaches, expired in jumps of every size.
+        let mut m = subsystem();
+        let mut reference: BTreeMap<u64, Bytes> = BTreeMap::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut now = 0u64;
+        for round in 0..4000 {
+            let r = next();
+            let at = match r % 5 {
+                0 => now + 1 + next() % 8,
+                1 => now + next() % (2 * LEDGER_RING_STEPS),
+                2 => now.saturating_sub(next() % 16),
+                3 => now + LEDGER_RING_STEPS + next() % 64,
+                _ => now + next() % 300,
+            };
+            let bytes = Bytes::new(1 + next() % 4096);
+            m.allocate(bytes, at);
+            *reference.entry(at).or_insert(Bytes::ZERO) += bytes;
+            if round % 3 == 0 {
+                now += match next() % 7 {
+                    0 => LEDGER_RING_STEPS + next() % 100,
+                    1 => 0,
+                    _ => 1 + next() % 20,
+                };
+                let want: Bytes = reference.range(..=now).map(|(_, &b)| b).sum();
+                reference.retain(|&k, _| k > now);
+                assert_eq!(m.expire(now), want, "round {round}");
+                assert_eq!(m.pending_cohorts(), reference.len(), "round {round}");
+            }
+            if round % 1000 == 999 {
+                // An expiry call behind the ring frees only what is due.
+                let behind = now.saturating_sub(5);
+                m.allocate(Bytes::new(7), behind);
+                *reference.entry(behind).or_insert(Bytes::ZERO) += Bytes::new(7);
+                let want: Bytes = reference.range(..=behind).map(|(_, &b)| b).sum();
+                reference.retain(|&k, _| k > behind);
+                assert_eq!(m.expire(behind), want, "round {round}");
+                assert_eq!(m.pending_cohorts(), reference.len(), "round {round}");
+            }
+        }
+        let rest: Bytes = reference.values().copied().sum();
+        assert_eq!(m.live(), rest);
+        assert_eq!(m.expire(u64::MAX), rest);
+        assert_eq!(m.pending_cohorts(), 0);
+        assert_eq!(m.live(), Bytes::ZERO);
+    }
+
+    #[test]
     fn zero_allocation_is_noop() {
         let mut m = subsystem();
         m.allocate(Bytes::ZERO, 10);
@@ -282,6 +404,7 @@ mod tests {
         let dropped = m.clear_live();
         assert_eq!(dropped, Bytes::mib(10));
         assert_eq!(m.live(), Bytes::ZERO);
+        assert_eq!(m.pending_cohorts(), 0);
         assert_eq!(m.expire(1000), Bytes::ZERO);
     }
 

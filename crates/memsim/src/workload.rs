@@ -264,6 +264,47 @@ pub struct AllocationRequest {
     pub lifetime_secs: f64,
 }
 
+/// The cohorts one [`WorkloadSampler::step`] draws — at most one per
+/// [`LifetimeClass`], held inline so a step allocates nothing. Reads as a
+/// slice and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cohorts {
+    requests: [AllocationRequest; 3],
+    len: usize,
+}
+
+impl Cohorts {
+    const EMPTY: Cohorts = Cohorts {
+        requests: [AllocationRequest {
+            bytes: Bytes::ZERO,
+            lifetime_secs: 0.0,
+        }; 3],
+        len: 0,
+    };
+
+    fn push(&mut self, request: AllocationRequest) {
+        self.requests[self.len] = request;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Cohorts {
+    type Target = [AllocationRequest];
+
+    fn deref(&self) -> &[AllocationRequest] {
+        &self.requests[..self.len]
+    }
+}
+
+impl IntoIterator for Cohorts {
+    type Item = AllocationRequest;
+    type IntoIter = std::iter::Take<std::array::IntoIter<AllocationRequest, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.requests.into_iter().take(self.len)
+    }
+}
+
 impl WorkloadSampler {
     /// Creates a sampler.
     ///
@@ -291,7 +332,7 @@ impl WorkloadSampler {
 
     /// Draws the allocation cohorts for one step of `dt` seconds at time
     /// `now` (seconds).
-    pub fn step(&mut self, now: f64, dt: f64, rng: &mut StdRng) -> Vec<AllocationRequest> {
+    pub fn step(&mut self, now: f64, dt: f64, rng: &mut StdRng) -> Cohorts {
         let cfg = &self.config;
         // Renew the burst regime if expired (heavy-tailed persistence).
         if now >= self.burst_until {
@@ -308,13 +349,19 @@ impl WorkloadSampler {
             self.burst_until = now + dist::pareto(rng, cfg.burst_mean_secs * 0.4, 1.5);
         }
 
-        let diurnal = 1.0
-            + cfg.diurnal_amplitude
-                * (2.0 * std::f64::consts::PI * now / cfg.diurnal_period_secs).sin();
+        // A zero amplitude skips the `sin`: 1 + 0·x is exactly 1 for any
+        // finite x.
+        let diurnal = if cfg.diurnal_amplitude == 0.0 {
+            1.0
+        } else {
+            1.0 + cfg.diurnal_amplitude
+                * (2.0 * std::f64::consts::PI * now / cfg.diurnal_period_secs).sin()
+        };
         let mean_arrivals = cfg.base_rate * self.burst_factor * diurnal * dt;
         let count = dist::poisson(rng, mean_arrivals);
+        let mut out = Cohorts::EMPTY;
         if count == 0 {
-            return Vec::new();
+            return out;
         }
 
         // Group this step's arrivals into one cohort per lifetime class to
@@ -335,7 +382,6 @@ impl WorkloadSampler {
                 long += size;
             }
         }
-        let mut out = Vec::with_capacity(3);
         if short > 0.0 {
             out.push(AllocationRequest {
                 bytes: Bytes::from_f64(short),

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use aging_memsim::{Counter, Machine, Scenario};
+use aging_memsim::{Counter, Machine, Scenario, Tick};
 use aging_stream::telemetry::LatencyHistogram;
 use aging_timeseries::{Error, Result};
 
@@ -145,7 +145,6 @@ impl LoadgenReport {
 pub struct ScenarioFeeder {
     machine_id: u64,
     machine: Machine,
-    consumed: usize,
     horizon_secs: f64,
     crash_time_secs: Option<f64>,
     finished: bool,
@@ -161,7 +160,6 @@ impl ScenarioFeeder {
         Ok(ScenarioFeeder {
             machine_id,
             machine: Machine::boot(scenario)?,
-            consumed: 0,
             horizon_secs,
             crash_time_secs: None,
             finished: false,
@@ -189,24 +187,18 @@ impl ScenarioFeeder {
         if self.finished {
             return false;
         }
-        // Same stepping rule as the supervisor's shard feed: advance the
-        // simulation until the monitor publishes a new row, stopping at
-        // the horizon or on a crash.
-        while self.machine.log().len() == self.consumed {
-            if self.machine.now().as_secs() >= self.horizon_secs {
-                self.finished = true;
-                return false;
-            }
-            if let Some(crash) = self.machine.step() {
+        // The supervisor's shard feed steps by the same rule.
+        let sample = match self.machine.next_sample(self.horizon_secs) {
+            Tick::Sample(sample) => sample,
+            Tick::Crash(crash) => {
                 self.crash_time_secs = Some(crash.time.as_secs());
                 self.finished = true;
                 return false;
             }
-        }
-        self.consumed += 1;
-        let Some(sample) = self.machine.last_sample() else {
-            self.finished = true;
-            return false;
+            Tick::Horizon => {
+                self.finished = true;
+                return false;
+            }
         };
         let time_secs = sample.time.as_secs();
         for &counter in counters {

@@ -8,12 +8,13 @@
 //! protocol-v3 binary [`Frame::Status`] allocates nothing either way once
 //! its buffer is warm.
 //!
-//! Std only. Counting is gated per thread, so neither the test harness
-//! nor the other test can charge its allocations to a measured window.
+//! Std only. Each thread counts its own allocator calls in a
+//! thread-local counter, so neither the test harness nor the other test,
+//! which the harness may run at the same time on another thread, can
+//! charge its allocations to a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use aging_serve::protocol::{encode_frame_into, Frame};
 use aging_serve::{ServeStatus, WireCounters};
@@ -21,19 +22,15 @@ use aging_stream::{LatencyHistogram, StageCounters, StatusSnapshot};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether this thread's allocator calls are counted. The `const`
-    /// init keeps the TLS access itself allocation-free, and `try_with`
-    /// tolerates allocator calls during thread teardown.
-    static TRACK: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocator calls. The `const` init keeps the TLS
+    /// access itself allocation-free, and `try_with` tolerates allocator
+    /// calls during thread teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn charge() {
-    if TRACK.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -60,14 +57,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with this thread's allocations counted; returns how many
-/// allocator calls (alloc / alloc_zeroed / realloc) it made.
+/// Runs `f` on this thread; returns how many allocator calls (alloc /
+/// alloc_zeroed / realloc) it made.
 fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    TRACK.with(|t| t.set(true));
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    TRACK.with(|t| t.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 /// A status as a server answers it mid-run: four machines, a few

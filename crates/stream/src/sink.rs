@@ -309,7 +309,7 @@ mod tests {
     /// must reproduce its event history — including ordering.
     #[test]
     fn sink_reproduces_supervisor_run() {
-        use aging_memsim::{Machine, Scenario};
+        use aging_memsim::{Machine, Scenario, Tick};
         let mut cfg = config();
         cfg.horizon_secs = 6.0 * 3600.0;
         let scenarios = vec![
@@ -330,20 +330,9 @@ mod tests {
             sink.register(i as u64, &format!("m{i:03}:{}", scenario.name))
                 .unwrap();
             let mut machine = Machine::boot(scenario).unwrap();
-            let mut consumed = 0usize;
             let mut times = Vec::new();
             let mut values = Vec::new();
-            'feed: loop {
-                while machine.log().len() == consumed {
-                    if machine.now().as_secs() >= cfg.horizon_secs {
-                        break 'feed;
-                    }
-                    if machine.step().is_some() {
-                        break 'feed;
-                    }
-                }
-                consumed += 1;
-                let sample = machine.last_sample().expect("fresh sample");
+            while let Tick::Sample(sample) = machine.next_sample(cfg.horizon_secs) {
                 times.push(sample.time.as_secs());
                 values.push(sample.value(Counter::AvailableBytes));
             }

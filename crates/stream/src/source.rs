@@ -5,7 +5,7 @@
 //! job of the downstream [`crate::gate::SampleGate`], so sources stay
 //! faithful to what the underlying feed actually produced.
 
-use aging_memsim::{Counter, Machine, Scenario};
+use aging_memsim::{Counter, Machine, Scenario, Tick};
 use aging_timeseries::csv::{CsvDefects, CsvTable};
 use aging_timeseries::{Error, Result};
 
@@ -168,8 +168,6 @@ pub struct MachineSource {
     machine: Machine,
     counter: Counter,
     horizon_secs: f64,
-    /// Samples already consumed from the machine's log.
-    consumed: usize,
     finished: bool,
 }
 
@@ -190,7 +188,6 @@ impl MachineSource {
             machine: Machine::boot(scenario)?,
             counter,
             horizon_secs,
-            consumed: 0,
             finished: false,
         })
     }
@@ -210,27 +207,17 @@ impl SampleSource for MachineSource {
         if self.finished {
             return Ok(None);
         }
-        // Step the simulation until the monitor log grows by one sample.
-        while self.machine.log().len() == self.consumed {
-            if self.machine.now().as_secs() >= self.horizon_secs {
+        match self.machine.next_sample(self.horizon_secs) {
+            Tick::Sample(sample) => Ok(Some(StreamSample {
+                time_secs: sample.time.as_secs(),
+                value: sample.value(self.counter),
+            })),
+            // A crash kills the feed with the machine.
+            Tick::Crash(_) | Tick::Horizon => {
                 self.finished = true;
-                return Ok(None);
-            }
-            if self.machine.step().is_some() {
-                // Crash: the feed dies with the machine.
-                self.finished = true;
-                return Ok(None);
+                Ok(None)
             }
         }
-        let sample = self
-            .machine
-            .last_sample()
-            .expect("log grew, so a sample exists");
-        self.consumed += 1;
-        Ok(Some(StreamSample {
-            time_secs: sample.time.as_secs(),
-            value: sample.value(self.counter),
-        }))
     }
 }
 
