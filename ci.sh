@@ -40,10 +40,12 @@ AGING_THREADS=4 cargo test --workspace --quiet
 # v1, v2 and v3 (crates/serve/tests/status_versions.rs), the cluster
 # parity differential, the rejuvenation decision-parity and golden
 # suites, the JSON fixtures and the from_str totality proptest
-# (crates/bench/tests/json_fixtures.rs, json_props.rs), and the
-# allocation guards (crates/stream/tests/alloc_regression.rs, the
-# journal's crates/store/tests/append_alloc.rs and the status JSON's and
-# binary status frame's crates/serve/tests/json_alloc.rs). Only the repro
+# (crates/bench/tests/json_fixtures.rs, json_props.rs), the simulator's
+# pinned output per scenario family (crates/memsim/tests/sim_fixtures.rs),
+# and the allocation guards (crates/stream/tests/alloc_regression.rs, the
+# journal's crates/store/tests/append_alloc.rs, the status JSON's and
+# binary status frame's crates/serve/tests/json_alloc.rs and the
+# simulator step's crates/memsim/tests/step_alloc.rs). Only the repro
 # differentials below need their own step.
 
 # The benchmark is a package of its own (not a workspace member), so the
