@@ -50,9 +50,10 @@ AGING_THREADS=4 cargo test --workspace --quiet
 
 # The benchmark is a package of its own (not a workspace member), so the
 # workspace passes never build it: check that it still compiles against
-# the crates and that its helper tests pass.
+# the crates and that its helper tests pass. --locked fails the step when a
+# manifest edit would rewrite perfbench/Cargo.lock, a benchmark file.
 echo "==> perfbench build + tests"
-cargo test --offline --manifest-path perfbench/Cargo.toml --quiet
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml --quiet
 
 # The E14 and E15 wire differentials: a real loopback server's alarm
 # history must be byte-identical to the offline supervisor's (E14), and a

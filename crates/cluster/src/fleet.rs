@@ -45,8 +45,6 @@ pub struct LocalCluster {
     cfgs: Vec<ServeConfig>,
     directory: ShardDirectory,
     ring: HashRing,
-    /// Machine ids owned by each shard, in fleet order.
-    assignments: Vec<Vec<u64>>,
 }
 
 impl LocalCluster {
@@ -100,7 +98,6 @@ impl LocalCluster {
             cfgs,
             directory: ShardDirectory::new(addrs),
             ring: ring.clone(),
-            assignments,
         })
     }
 
@@ -118,11 +115,6 @@ impl LocalCluster {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.cfgs.len()
-    }
-
-    /// Machine ids owned by `shard`, in fleet order.
-    pub fn assignment(&self, shard: usize) -> &[u64] {
-        &self.assignments[shard]
     }
 
     /// Current address of `shard`.

@@ -10,7 +10,7 @@
 //! All predictors and the Hölder-dimension detector implement
 //! [`AgingPredictor`], so the evaluation harness can score them uniformly.
 
-use crate::detector::{DetectorConfig, HolderDimensionDetector};
+use crate::detector::HolderDimensionDetector;
 use aging_timeseries::persist::{self, Reader};
 use aging_timeseries::regression::ols;
 use aging_timeseries::trend::{StreamingMannKendall, TrendDirection};
@@ -603,39 +603,10 @@ impl AgingPredictor for HolderDimensionDetector {
     }
 }
 
-/// Builds the standard predictor set used by the comparison experiments
-/// (E4): Hölder-dimension detector, Mann–Kendall/Sen, OLS, threshold.
-///
-/// `dt` is the sampling period; `capacity` the resource's full level
-/// (e.g. RAM bytes for available-memory monitoring).
-///
-/// # Errors
-///
-/// Propagates individual constructor failures.
-pub fn standard_predictors(
-    dt: f64,
-    capacity: f64,
-    detector: DetectorConfig,
-) -> Result<Vec<Box<dyn AgingPredictor>>> {
-    let trend = TrendPredictorConfig {
-        sample_period_secs: dt,
-        exhaustion_level: 0.02 * capacity,
-        ..TrendPredictorConfig::depleting(dt)
-    };
-    Ok(vec![
-        Box::new(HolderDimensionDetector::new(detector)?),
-        Box::new(SenSlopePredictor::new(trend.clone())?),
-        Box::new(OlsPredictor::new(trend)?),
-        Box::new(ThresholdPredictor::new(
-            0.05 * capacity,
-            ResourceDirection::Depleting,
-        )?),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::DetectorConfig;
 
     fn depleting_config() -> TrendPredictorConfig {
         TrendPredictorConfig {
@@ -893,17 +864,6 @@ mod tests {
         for _ in 0..300 {
             assert!(!p.push(0.0).unwrap());
         }
-    }
-
-    #[test]
-    fn standard_predictor_set_builds() {
-        let set = standard_predictors(30.0, 2.68e8, DetectorConfig::default()).unwrap();
-        assert_eq!(set.len(), 4);
-        let names: Vec<&str> = set.iter().map(|p| p.name()).collect();
-        assert!(names.contains(&"holder-dimension"));
-        assert!(names.contains(&"mann-kendall-sen"));
-        assert!(names.contains(&"ols-extrapolation"));
-        assert!(names.contains(&"threshold"));
     }
 
     #[test]

@@ -215,14 +215,6 @@ impl DetectorConfig {
         Ok(())
     }
 
-    /// Number of raw samples needed before the first alarm can possibly
-    /// fire (holder delay + skipped/baseline windows + confirmation).
-    pub fn warmup_samples(&self) -> usize {
-        let windows = self.skip_windows + self.baseline_windows + self.confirm_windows;
-        let first_dim = self.dimension_window + (windows - 1) * self.dimension_stride;
-        2 * self.holder_radius + first_dim
-    }
-
     /// The equivalent offline Hölder estimator.
     pub fn holder_estimator(&self) -> HolderEstimator {
         HolderEstimator::LocalIncrement(IncrementConfig {
@@ -912,13 +904,6 @@ mod tests {
             .confirm_windows(0)
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn warmup_sample_count() {
-        let c = DetectorConfig::default();
-        // 64 + 128 + (2+12+3−1)·16 = 448.
-        assert_eq!(c.warmup_samples(), 448);
     }
 
     #[test]

@@ -255,24 +255,6 @@ pub fn run_policy(
     })
 }
 
-/// Runs several policies on the same scenario (each from the same seed,
-/// so they face an identical world).
-///
-/// # Errors
-///
-/// Propagates the first policy failure.
-pub fn compare_policies(
-    scenario: &Scenario,
-    policies: &[Policy],
-    horizon_secs: f64,
-    costs: OutageCosts,
-) -> Result<Vec<PolicyOutcome>> {
-    policies
-        .iter()
-        .map(|p| run_policy(scenario, p, horizon_secs, costs))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,21 +360,6 @@ mod tests {
         assert!(outcome.horizon_secs >= HOUR);
         assert!(outcome.horizon_secs < HOUR + 700.0);
         assert!((outcome.uptime_secs + outcome.downtime_secs - outcome.horizon_secs).abs() < 1.0);
-    }
-
-    #[test]
-    fn compare_runs_all_policies() {
-        let scenario = Scenario::tiny_aging(5, 1024.0);
-        let outcomes = compare_policies(
-            &scenario,
-            &[Policy::None, Policy::Periodic { period_secs: HOUR }],
-            4.0 * HOUR,
-            costs(),
-        )
-        .unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].policy, "no-rejuvenation");
-        assert_eq!(outcomes[1].policy, "periodic-1.0h");
     }
 
     #[test]

@@ -241,59 +241,6 @@ pub fn binomial_cascade_tau(m0: f64, q: f64) -> f64 {
     -(m0.powf(q) + (1.0 - m0).powf(q)).log2()
 }
 
-/// A log-normal multiplicative cascade on `2^levels` cells: each child's
-/// mass fraction is `W = 2^{−V}` with `V ~ N(1 + λ²ln2/2, λ²)`, so
-/// `E[W] = ½` (mass conserved in expectation) and the cascade has the
-/// parabolic ground-truth exponents
-/// `τ(q) = q(1 + λ²ln2/2) − q²λ²ln2/2 − 1` — see
-/// [`lognormal_cascade_tau`]. The intermittency parameter `λ` controls the
-/// spectrum width (λ = 0 degenerates to uniform mass).
-///
-/// The returned measure is renormalised to total mass 1.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] when `levels ∉ 1..=30` or
-/// `λ ∉ [0, 1)`.
-pub fn lognormal_cascade(levels: usize, lambda: f64, seed: u64) -> Result<Vec<f64>> {
-    if levels == 0 || levels > 30 {
-        return Err(Error::invalid("levels", "must lie in 1..=30"));
-    }
-    if !(0.0..1.0).contains(&lambda) {
-        return Err(Error::invalid("lambda", "must lie in [0, 1)"));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ln2 = std::f64::consts::LN_2;
-    let m = 1.0 + lambda * lambda * ln2 / 2.0;
-    let mut mass = vec![1.0f64];
-    for _ in 0..levels {
-        let mut next = Vec::with_capacity(mass.len() * 2);
-        for &parent in &mass {
-            for _ in 0..2 {
-                let v = m + lambda * standard_normal(&mut rng);
-                next.push(parent * 2.0_f64.powf(-v));
-            }
-        }
-        mass = next;
-    }
-    let total: f64 = mass.iter().sum();
-    if total <= 0.0 {
-        return Err(Error::Numerical("cascade mass vanished".into()));
-    }
-    for v in &mut mass {
-        *v /= total;
-    }
-    Ok(mass)
-}
-
-/// Closed-form partition exponent of the log-normal cascade:
-/// `τ(q) = q(1 + λ²ln2/2) − q²λ²ln2/2 − 1`.
-pub fn lognormal_cascade_tau(lambda: f64, q: f64) -> f64 {
-    let ln2 = std::f64::consts::LN_2;
-    let l2 = lambda * lambda * ln2 / 2.0;
-    q * (1.0 + l2) - q * q * l2 - 1.0
-}
-
 /// Multifractional Brownian motion with a prescribed time-varying Hurst
 /// function `H(t)` — the ground truth for **local** Hölder estimation
 /// (the pointwise exponent of mBm at `t` equals `H(t)`).
@@ -389,24 +336,6 @@ pub fn ar1(n: usize, phi: f64, seed: u64) -> Result<Vec<f64>> {
         x.push(prev);
     }
     Ok(x)
-}
-
-/// Standard random walk (cumulative sum of white noise; `H = 0.5` fBm up to
-/// discretisation).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] when `n == 0`.
-pub fn random_walk(n: usize, seed: u64) -> Result<Vec<f64>> {
-    let noise = white_noise(n, seed)?;
-    let mut acc = 0.0;
-    Ok(noise
-        .into_iter()
-        .map(|v| {
-            acc += v;
-            acc
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -550,45 +479,6 @@ mod tests {
         assert!(binomial_cascade(31, 0.3, false, 0).is_err());
         assert!(binomial_cascade(4, 0.0, false, 0).is_err());
         assert!(binomial_cascade(4, 1.0, false, 0).is_err());
-    }
-
-    #[test]
-    fn lognormal_cascade_mass_and_determinism() {
-        let m = lognormal_cascade(10, 0.3, 1).unwrap();
-        assert_eq!(m.len(), 1024);
-        assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(m.iter().all(|&v| v > 0.0));
-        assert_eq!(m, lognormal_cascade(10, 0.3, 1).unwrap());
-        assert!(lognormal_cascade(0, 0.3, 1).is_err());
-        assert!(lognormal_cascade(10, 1.0, 1).is_err());
-    }
-
-    #[test]
-    fn lognormal_cascade_tau_matches_theory() {
-        // One sample cascade: the measured partition exponents follow the
-        // parabola within sampling noise in the central q range.
-        let lambda = 0.35;
-        let m = lognormal_cascade(14, lambda, 2).unwrap();
-        let qs = [-1.0, 0.5, 1.0, 2.0, 3.0];
-        let est = crate::spectrum::partition_function(&m, &qs).unwrap();
-        for (i, &q) in qs.iter().enumerate() {
-            let theory = lognormal_cascade_tau(lambda, q);
-            assert!(
-                (est.exponents[i] - theory).abs() < 0.25,
-                "q={q}: {} vs {theory}",
-                est.exponents[i]
-            );
-        }
-        // τ(1) = 0 exactly (normalised measure).
-        let i1 = qs.iter().position(|&q| q == 1.0).unwrap();
-        assert!(est.exponents[i1].abs() < 0.02);
-    }
-
-    #[test]
-    fn lognormal_lambda_zero_is_uniform() {
-        let m = lognormal_cascade(8, 0.0, 3).unwrap();
-        let expect = 1.0 / 256.0;
-        assert!(m.iter().all(|&v| (v - expect).abs() < 1e-12));
     }
 
     #[test]

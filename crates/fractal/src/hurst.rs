@@ -224,29 +224,6 @@ pub fn periodogram_hurst(data: &[f64]) -> Result<HurstEstimate> {
     })
 }
 
-/// Sliding-window DFA: the Hurst exponent tracked over time — a global
-/// counterpart to the local Hölder trace (useful for slowly drifting
-/// long-memory, e.g. mBm-like aging).
-///
-/// Returns `(last-sample-index-of-window, hurst)` pairs; windows whose DFA
-/// fails (e.g. locally constant data) are skipped.
-///
-/// # Errors
-///
-/// Propagates window-plan errors ([`Error::TooShort`],
-/// [`Error::InvalidParameter`]).
-pub fn windowed_dfa(
-    data: &[f64],
-    window: usize,
-    stride: usize,
-    order: usize,
-) -> Result<Vec<(usize, f64)>> {
-    if window < 64 {
-        return Err(Error::invalid("window", "must be at least 64"));
-    }
-    aging_timeseries::window::windowed_apply(data, window, stride, |w| Ok(dfa(w, order)?.hurst))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,31 +301,6 @@ mod tests {
         let est = dfa(&x, 1).unwrap();
         assert!(est.points.len() >= 3);
         assert!(est.points.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn windowed_dfa_tracks_time_varying_hurst() {
-        // First half rough (H=0.3) fGn, second half smooth (H=0.85): the
-        // tracked exponent must rise.
-        let mut x = generate::fgn(4096, 0.3, 20).unwrap();
-        x.extend(generate::fgn(4096, 0.85, 21).unwrap());
-        let trace = windowed_dfa(&x, 1024, 256, 1).unwrap();
-        assert!(trace.len() > 20);
-        let early: Vec<f64> = trace
-            .iter()
-            .filter(|&&(i, _)| i < 3500)
-            .map(|&(_, h)| h)
-            .collect();
-        let late: Vec<f64> = trace
-            .iter()
-            .filter(|&&(i, _)| i > 5500)
-            .map(|&(_, h)| h)
-            .collect();
-        let em = early.iter().sum::<f64>() / early.len() as f64;
-        let lm = late.iter().sum::<f64>() / late.len() as f64;
-        assert!((em - 0.3).abs() < 0.15, "early {em}");
-        assert!((lm - 0.85).abs() < 0.15, "late {lm}");
-        assert!(windowed_dfa(&x, 32, 8, 1).is_err());
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod hurst;
 pub mod spectrum;
 pub mod streaming;
 pub mod surrogate;
-pub mod wtmm;
 
 pub use dimension::DimensionEstimate;
 pub use holder::{HolderEstimator, HolderSummary};

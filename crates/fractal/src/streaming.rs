@@ -257,11 +257,6 @@ impl StreamingDimension {
         self.stride
     }
 
-    /// Points consumed so far.
-    pub fn points_seen(&self) -> u64 {
-        self.ring.pushed()
-    }
-
     /// Feeds one trace point; emits a [`DimensionPoint`] when a window
     /// boundary is reached.
     ///

@@ -11,9 +11,7 @@ use aging_fractal::holder::{
 };
 use aging_fractal::spectrum::{mfdfa, MfdfaConfig};
 use aging_fractal::surrogate::surrogate_test_in;
-use aging_fractal::wtmm::{wtmm_in, WtmmConfig};
 use aging_par::Pool;
-use aging_wavelet::cwt::{cwt_in, CwtWavelet};
 use proptest::prelude::*;
 
 /// Pool sizes exercised against the sequential reference: single worker,
@@ -65,36 +63,6 @@ proptest! {
         for threads in POOL_SIZES {
             let par = holder_trace_in(&x, &est, &Pool::new(threads)).unwrap();
             assert_bits_eq(&reference, &par, &format!("leader trace, {threads} threads"));
-        }
-    }
-
-    #[test]
-    fn cwt_parity(seed in 0u64..500, hurst in 0.2f64..0.85) {
-        let x = generate::fbm(512, hurst, seed).unwrap();
-        let scales = [2.0, 4.0, 8.0, 16.0, 32.0];
-        let reference = cwt_in(&x, CwtWavelet::MexicanHat, &scales, &Pool::sequential()).unwrap();
-        for threads in POOL_SIZES {
-            let par = cwt_in(&x, CwtWavelet::MexicanHat, &scales, &Pool::new(threads)).unwrap();
-            prop_assert_eq!(par.scales(), reference.scales());
-            for (si, (a, b)) in reference.rows().iter().zip(par.rows()).enumerate() {
-                assert_bits_eq(a, b, &format!("cwt row {si}, {threads} threads"));
-            }
-        }
-    }
-
-    #[test]
-    fn wtmm_parity(seed in 0u64..500, hurst in 0.3f64..0.8) {
-        let x = generate::fbm(1024, hurst, seed).unwrap();
-        let config = WtmmConfig::default();
-        let reference = wtmm_in(&x, &config, &Pool::sequential()).unwrap();
-        for threads in POOL_SIZES {
-            let par = wtmm_in(&x, &config, &Pool::new(threads)).unwrap();
-            prop_assert_eq!(&par.maxima_counts, &reference.maxima_counts);
-            assert_bits_eq(
-                &reference.tau.exponents,
-                &par.tau.exponents,
-                &format!("wtmm tau, {threads} threads"),
-            );
         }
     }
 

@@ -19,9 +19,10 @@
 //! - fallible maps report the error of the **smallest failing index**, the
 //!   same error a sequential loop that runs to completion would pick.
 //!
-//! The hot kernels (`holder_trace`, CWT, surrogate ensembles, fleet
-//! scoring) parallelise over items that are mutually independent, so the
-//! per-item arithmetic is untouched and the contract holds end to end.
+//! The hot kernels (`holder_trace`, surrogate ensembles, fleet simulation
+//! and scoring, detector sweeps) parallelise over items that are mutually
+//! independent, so the per-item arithmetic is untouched and the contract
+//! holds end to end.
 //! Parity is enforced by proptests in `aging-fractal` and `aging-core`
 //! that compare 1-, 2- and 7-thread pools element for element.
 //!
@@ -193,8 +194,8 @@ impl Pool {
     ///
     /// Indices are treated as *coarse* tasks (chunks shrink to a single
     /// index when threads outnumber work), so even a handful of expensive
-    /// items — CWT scales, surrogate replicas, fleet reports — spread
-    /// across the pool.
+    /// items — surrogate replicas, machines, sweep values — spread across
+    /// the pool.
     pub fn map_indexed<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
         U: Send,

@@ -403,12 +403,6 @@ pub fn counter_code(counter: Counter) -> u8 {
     counter.code()
 }
 
-/// Counter for a wire code ([`Counter::from_code`]), `None` for an
-/// unknown code.
-pub fn counter_from_code(code: u8) -> Option<Counter> {
-    Counter::from_code(code)
-}
-
 /// A payload that arrived intact but does not parse.
 fn malformed(reason: String) -> Error {
     Error::invalid("payload", reason)
@@ -663,13 +657,6 @@ impl Frame {
         let mut out = Vec::new();
         self.put_payload(&mut out);
         out
-    }
-
-    /// Serialises the frame payload into a reused buffer (cleared
-    /// first) — the allocation-free form of [`Frame::encode_payload`].
-    pub fn encode_payload_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        self.put_payload(out);
     }
 
     /// Appends the payload bytes to `out` without clearing.
@@ -1144,9 +1131,7 @@ mod tests {
     fn counter_codes_round_trip() {
         for (i, &c) in Counter::ALL.iter().enumerate() {
             assert_eq!(counter_code(c), i as u8);
-            assert_eq!(counter_from_code(i as u8), Some(c));
         }
-        assert_eq!(counter_from_code(Counter::ALL.len() as u8), None);
     }
 
     #[test]

@@ -243,7 +243,7 @@ impl ServeConfig {
     }
 
     /// Starts a validated builder around the given detectors — the same
-    /// pattern as `DetectorConfig`/`WtmmConfig` in `aging-core`. The
+    /// pattern as `DetectorConfig` in `aging-core`. The
     /// plain-struct literal (`ServeConfig { .. }`) keeps working; the
     /// builder's [`build`](ServeConfigBuilder::build) runs
     /// [`ServeConfig::validate`], so a builder-made config cannot reach

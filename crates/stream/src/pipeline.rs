@@ -615,11 +615,6 @@ impl MachinePipeline {
         self.streams[stream].disabled
     }
 
-    /// Number of counter streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Serializes the pipeline's complete dynamic state — every stream's
     /// gate, detector and poisoned flag, the fused latch, telemetry, and
     /// the incremental-path tick/watermark clocks — via

@@ -1,56 +1,11 @@
 //! Detrending transforms.
 //!
 //! Scaling estimators assume (at most) weak stationarity of the fluctuations
-//! around a trend; these helpers remove constant / linear / polynomial
-//! components or difference the series outright.
+//! around a trend; these helpers difference the series outright or measure
+//! the fluctuation left around a polynomial fit.
 
 use crate::error::{Error, Result};
-use crate::regression::{ols, polyfit, polyval};
-
-/// Subtracts the mean in place.
-///
-/// # Errors
-///
-/// Returns [`Error::Empty`] for empty input.
-pub fn remove_mean(data: &mut [f64]) -> Result<()> {
-    Error::require_len(data, 1)?;
-    let m = data.iter().sum::<f64>() / data.len() as f64;
-    for v in data.iter_mut() {
-        *v -= m;
-    }
-    Ok(())
-}
-
-/// Subtracts the least-squares line (fit against sample index) in place.
-///
-/// # Errors
-///
-/// Returns [`Error::TooShort`] with fewer than two samples and propagates
-/// fit failures.
-pub fn remove_linear(data: &mut [f64]) -> Result<()> {
-    Error::require_len(data, 2)?;
-    let x: Vec<f64> = (0..data.len()).map(|i| i as f64).collect();
-    let fit = ols(&x, data)?;
-    for (i, v) in data.iter_mut().enumerate() {
-        *v -= fit.predict(i as f64);
-    }
-    Ok(())
-}
-
-/// Subtracts a least-squares polynomial of the given degree (fit against
-/// sample index) in place.
-///
-/// # Errors
-///
-/// Propagates [`crate::regression::polyfit`] failures.
-pub fn remove_polynomial(data: &mut [f64], degree: usize) -> Result<()> {
-    let x: Vec<f64> = (0..data.len()).map(|i| i as f64).collect();
-    let coeffs = polyfit(&x, data, degree)?;
-    for (i, v) in data.iter_mut().enumerate() {
-        *v -= polyval(&coeffs, i as f64);
-    }
-    Ok(())
-}
+use crate::regression::{polyfit, polyval};
 
 /// Returns the `lag`-differenced series `x[i + lag] - x[i]`.
 ///
@@ -92,47 +47,6 @@ pub fn fluctuation(window: &[f64], degree: usize) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn remove_mean_centres() {
-        let mut d = vec![1.0, 2.0, 3.0];
-        remove_mean(&mut d).unwrap();
-        assert_eq!(d, vec![-1.0, 0.0, 1.0]);
-        assert!(remove_mean(&mut []).is_err());
-    }
-
-    #[test]
-    fn remove_linear_flattens_ramp() {
-        let mut d: Vec<f64> = (0..20).map(|i| 3.0 + 0.5 * i as f64).collect();
-        remove_linear(&mut d).unwrap();
-        assert!(d.iter().all(|v| v.abs() < 1e-10));
-    }
-
-    #[test]
-    fn remove_linear_preserves_fluctuation() {
-        let mut d: Vec<f64> = (0..20)
-            .map(|i| 0.5 * i as f64 + if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        remove_linear(&mut d).unwrap();
-        // Alternating component survives with amplitude ~1.
-        assert!(d.iter().map(|v| v.abs()).fold(0.0, f64::max) > 0.5);
-        // But no drift remains.
-        let x: Vec<f64> = (0..d.len()).map(|i| i as f64).collect();
-        let fit = ols(&x, &d).unwrap();
-        assert!(fit.slope.abs() < 1e-10);
-    }
-
-    #[test]
-    fn remove_polynomial_kills_quadratic() {
-        let mut d: Vec<f64> = (0..30)
-            .map(|i| {
-                let t = i as f64;
-                1.0 + 2.0 * t - 0.1 * t * t
-            })
-            .collect();
-        remove_polynomial(&mut d, 2).unwrap();
-        assert!(d.iter().all(|v| v.abs() < 1e-7));
-    }
 
     #[test]
     fn difference_basic() {

@@ -39,7 +39,6 @@
 mod error;
 mod series;
 
-pub mod acf;
 pub mod changepoint;
 pub mod csv;
 pub mod detrend;
@@ -47,7 +46,6 @@ pub mod interp;
 pub mod persist;
 pub mod regression;
 pub mod ring;
-pub mod smooth;
 pub mod stats;
 pub mod trend;
 pub mod window;

@@ -102,15 +102,6 @@ impl TimeSeries {
         self.t0 + i as f64 * self.dt
     }
 
-    /// Timestamp of the last sample, or `None` when empty.
-    pub fn end_time(&self) -> Option<f64> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.time_at(self.len() - 1))
-        }
-    }
-
     /// Index of the sample closest to time `t`, clamped to the valid range.
     ///
     /// Returns `None` when the series is empty.
@@ -131,11 +122,6 @@ impl TimeSeries {
     /// Mutable view of the samples.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
-    }
-
-    /// Consumes the series and returns the underlying sample vector.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
     }
 
     /// Appends one sample (streaming ingestion).
@@ -175,21 +161,6 @@ impl TimeSeries {
             dt: self.dt,
             values: self.values[start..end].to_vec(),
         })
-    }
-
-    /// Returns the sub-series of samples with timestamps in `[from, to)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] when `from > to`.
-    pub fn slice_time(&self, from: f64, to: f64) -> Result<TimeSeries> {
-        if from > to {
-            return Err(Error::invalid("range", "from must not exceed to"));
-        }
-        let start = ((from - self.t0) / self.dt).ceil().max(0.0) as usize;
-        let end = (((to - self.t0) / self.dt).ceil().max(0.0) as usize).min(self.len());
-        let start = start.min(end);
-        self.slice(start, end)
     }
 
     /// Applies `f` to every sample, producing a new series on the same grid.
@@ -243,38 +214,6 @@ impl TimeSeries {
         })
     }
 
-    /// Downsamples by an integer factor, averaging each block of `factor`
-    /// consecutive samples. A trailing partial block is dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] when `factor == 0`, and
-    /// [`Error::TooShort`] when no complete block fits.
-    pub fn decimate_mean(&self, factor: usize) -> Result<TimeSeries> {
-        if factor == 0 {
-            return Err(Error::invalid("factor", "must be positive"));
-        }
-        let blocks = self.len() / factor;
-        if blocks == 0 {
-            return Err(Error::TooShort {
-                required: factor,
-                actual: self.len(),
-            });
-        }
-        let values = (0..blocks)
-            .map(|b| {
-                let chunk = &self.values[b * factor..(b + 1) * factor];
-                chunk.iter().sum::<f64>() / factor as f64
-            })
-            .collect();
-        Ok(TimeSeries {
-            // Block value is attributed to the centre of the block.
-            t0: self.t0 + (factor as f64 - 1.0) / 2.0 * self.dt,
-            dt: self.dt * factor as f64,
-            values,
-        })
-    }
-
     /// Checks that every sample is finite.
     ///
     /// # Errors
@@ -320,7 +259,6 @@ mod tests {
         let s = TimeSeries::from_values(100.0, 30.0, vec![0.0; 4]).unwrap();
         assert_eq!(s.time_at(0), 100.0);
         assert_eq!(s.time_at(3), 190.0);
-        assert_eq!(s.end_time(), Some(190.0));
     }
 
     #[test]
@@ -350,17 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_time_selects_half_open_interval() {
-        let s = TimeSeries::from_values(0.0, 1.0, vec![0.0, 1.0, 2.0, 3.0, 4.0]).unwrap();
-        let sub = s.slice_time(1.0, 4.0).unwrap();
-        assert_eq!(sub.values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(sub.t0(), 1.0);
-        // Out-of-range windows clip gracefully.
-        assert_eq!(s.slice_time(-5.0, 100.0).unwrap().len(), 5);
-        assert_eq!(s.slice_time(100.0, 200.0).unwrap().len(), 0);
-    }
-
-    #[test]
     fn increments_shrink_by_one() {
         let s = ts(&[1.0, 4.0, 9.0]);
         let d = s.increments().unwrap();
@@ -375,17 +302,6 @@ mod tests {
         let p = s.profile().unwrap();
         // mean = 2: centred = [-1, 0, 1], cumsum = [-1, -1, 0]
         assert_eq!(p.values(), &[-1.0, -1.0, 0.0]);
-    }
-
-    #[test]
-    fn decimate_mean_averages_blocks() {
-        let s = ts(&[1.0, 3.0, 5.0, 7.0, 100.0]);
-        let d = s.decimate_mean(2).unwrap();
-        assert_eq!(d.values(), &[2.0, 6.0]);
-        assert_eq!(d.dt(), 2.0);
-        assert_eq!(d.t0(), 0.5);
-        assert!(s.decimate_mean(0).is_err());
-        assert!(ts(&[1.0]).decimate_mean(2).is_err());
     }
 
     #[test]

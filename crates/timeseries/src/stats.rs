@@ -154,24 +154,6 @@ pub fn skewness(data: &[f64]) -> Result<f64> {
     Ok(m3 / m2.powf(1.5))
 }
 
-/// Sample excess kurtosis (biased; 0 for a Gaussian).
-///
-/// # Errors
-///
-/// Returns [`Error::TooShort`] with fewer than four samples and
-/// [`Error::Numerical`] for (near-)constant data.
-pub fn excess_kurtosis(data: &[f64]) -> Result<f64> {
-    Error::require_len(data, 4)?;
-    let m = mean(data)?;
-    let n = data.len() as f64;
-    let m2 = data.iter().map(|&v| (v - m).powi(2)).sum::<f64>() / n;
-    let m4 = data.iter().map(|&v| (v - m).powi(4)).sum::<f64>() / n;
-    if m2 <= f64::EPSILON {
-        return Err(Error::Numerical("kurtosis of constant data".into()));
-    }
-    Ok(m4 / (m2 * m2) - 3.0)
-}
-
 /// Biased autocovariance at lag `k`:
 /// `(1/n) * Σ (x[i] - mean)(x[i+k] - mean)`.
 ///
@@ -198,21 +180,6 @@ pub fn autocorrelation(data: &[f64], k: usize) -> Result<f64> {
         return Err(Error::Numerical("autocorrelation of constant data".into()));
     }
     Ok(autocovariance(data, k)? / c0)
-}
-
-/// Standardises the data to zero mean, unit (sample) standard deviation.
-///
-/// # Errors
-///
-/// Returns [`Error::TooShort`] with fewer than two samples and
-/// [`Error::Numerical`] for constant data.
-pub fn zscore(data: &[f64]) -> Result<Vec<f64>> {
-    let m = mean(data)?;
-    let s = std_dev(data)?;
-    if s <= f64::EPSILON {
-        return Err(Error::Numerical("z-score of constant data".into()));
-    }
-    Ok(data.iter().map(|&v| (v - m) / s).collect())
 }
 
 /// A summary of the usual descriptive statistics computed in one pass over
@@ -333,14 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn kurtosis_of_extremes() {
-        // Heavy-tailed sample has positive excess kurtosis.
-        let heavy = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0];
-        assert!(excess_kurtosis(&heavy).unwrap() > 0.0);
-        assert!(excess_kurtosis(&[2.0, 2.0, 2.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn autocorrelation_lag0_is_one() {
         let d = [1.0, -2.0, 3.0, 0.5, -1.0];
         assert!((autocorrelation(&d, 0).unwrap() - 1.0).abs() < 1e-12);
@@ -351,14 +310,6 @@ mod tests {
         let d = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
         assert!(autocorrelation(&d, 1).unwrap() < -0.5);
         assert!(autocorrelation(&d, 2).unwrap() > 0.5);
-    }
-
-    #[test]
-    fn zscore_standardises() {
-        let z = zscore(DATA).unwrap();
-        assert!((mean(&z).unwrap()).abs() < 1e-12);
-        assert!((std_dev(&z).unwrap() - 1.0).abs() < 1e-12);
-        assert!(zscore(&[5.0, 5.0]).is_err());
     }
 
     #[test]

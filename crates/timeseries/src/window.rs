@@ -60,11 +60,6 @@ impl<'a> SlidingWindows<'a> {
             (self.data.len() - self.width) / self.stride + 1
         }
     }
-
-    /// Starting index within the source slice of window `k`.
-    pub fn start_of(&self, k: usize) -> usize {
-        k * self.stride
-    }
 }
 
 impl<'a> Iterator for SlidingWindows<'a> {
@@ -90,56 +85,6 @@ impl<'a> Iterator for SlidingWindows<'a> {
 }
 
 impl ExactSizeIterator for SlidingWindows<'_> {}
-
-/// Applies `f` to each sliding window, returning one output per window
-/// together with the index (into the source slice) of the window's **last**
-/// sample — the natural time to attribute a causal, trailing-window
-/// statistic to.
-///
-/// Windows on which `f` fails are skipped (their error is discarded); use
-/// [`windowed_apply_strict`] when failures must propagate.
-///
-/// # Errors
-///
-/// Propagates window-plan construction failures from [`SlidingWindows::new`].
-pub fn windowed_apply<T>(
-    data: &[f64],
-    width: usize,
-    stride: usize,
-    mut f: impl FnMut(&[f64]) -> Result<T>,
-) -> Result<Vec<(usize, T)>> {
-    let plan = SlidingWindows::new(data, width, stride)?;
-    let stride = plan.stride;
-    let mut out = Vec::with_capacity(plan.count_windows());
-    for (k, w) in plan.enumerate() {
-        if let Ok(v) = f(w) {
-            out.push((k * stride + width - 1, v));
-        }
-    }
-    Ok(out)
-}
-
-/// Like [`windowed_apply`] but any window failure aborts the whole
-/// computation.
-///
-/// # Errors
-///
-/// Propagates both window-plan construction failures and the first per-window
-/// failure of `f`.
-pub fn windowed_apply_strict<T>(
-    data: &[f64],
-    width: usize,
-    stride: usize,
-    mut f: impl FnMut(&[f64]) -> Result<T>,
-) -> Result<Vec<(usize, T)>> {
-    let plan = SlidingWindows::new(data, width, stride)?;
-    let stride = plan.stride;
-    let mut out = Vec::with_capacity(plan.count_windows());
-    for (k, w) in plan.enumerate() {
-        out.push((k * stride + width - 1, f(w)?));
-    }
-    Ok(out)
-}
 
 /// Splits `data` into non-overlapping blocks of `size` samples, dropping a
 /// trailing partial block.
@@ -266,40 +211,6 @@ mod tests {
         let expected = plan.count_windows();
         assert_eq!(plan.len(), expected);
         assert_eq!(plan.count(), expected);
-    }
-
-    #[test]
-    fn windowed_apply_attributes_to_last_sample() {
-        let d = [1.0, 2.0, 3.0, 4.0];
-        let out = windowed_apply(&d, 2, 1, |w| Ok(w.iter().sum::<f64>())).unwrap();
-        assert_eq!(out, vec![(1, 3.0), (2, 5.0), (3, 7.0)]);
-    }
-
-    #[test]
-    fn windowed_apply_skips_failures() {
-        let d = [1.0, -1.0, 2.0, -2.0];
-        let out = windowed_apply(&d, 2, 1, |w| {
-            if w[0] > 0.0 {
-                Ok(w[0])
-            } else {
-                Err(Error::Numerical("negative".into()))
-            }
-        })
-        .unwrap();
-        assert_eq!(out, vec![(1, 1.0), (3, 2.0)]);
-    }
-
-    #[test]
-    fn windowed_apply_strict_propagates() {
-        let d = [1.0, -1.0, 2.0];
-        let r = windowed_apply_strict(&d, 2, 1, |w| {
-            if w[0] > 0.0 {
-                Ok(w[0])
-            } else {
-                Err(Error::Numerical("negative".into()))
-            }
-        });
-        assert!(r.is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for `aging-timeseries` invariants.
 
 use aging_timeseries::{
-    detrend, interp,
+    interp,
     regression::{self, ols, theil_sen},
     stats,
     trend::{MannKendall, SenSlope},
@@ -35,18 +35,6 @@ proptest! {
         let qa = stats::quantile(&data, lo).unwrap();
         let qb = stats::quantile(&data, hi).unwrap();
         prop_assert!(qa <= qb + 1e-9);
-    }
-
-    #[test]
-    fn zscore_shift_invariant(data in finite_vec(3, 100), shift in -1e5f64..1e5) {
-        // Skip near-constant data (z-score undefined).
-        prop_assume!(stats::std_dev(&data).unwrap() > 1e-6);
-        let shifted: Vec<f64> = data.iter().map(|v| v + shift).collect();
-        let z1 = stats::zscore(&data).unwrap();
-        let z2 = stats::zscore(&shifted).unwrap();
-        for (a, b) in z1.iter().zip(&z2) {
-            prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -95,16 +83,6 @@ proptest! {
         let a = SenSlope::estimate(&data, 1.0).unwrap();
         let b = SenSlope::estimate(&shifted, 1.0).unwrap();
         prop_assert!((a.slope - b.slope).abs() < 1e-9 * (1.0 + a.slope.abs()));
-    }
-
-    #[test]
-    fn detrend_linear_then_fit_is_flat(data in finite_vec(3, 100)) {
-        let mut d = data.clone();
-        detrend::remove_linear(&mut d).unwrap();
-        let x: Vec<f64> = (0..d.len()).map(|i| i as f64).collect();
-        let fit = ols(&x, &d).unwrap();
-        let scale = data.iter().map(|v| v.abs()).fold(1.0, f64::max);
-        prop_assert!(fit.slope.abs() < 1e-6 * scale);
     }
 
     #[test]
@@ -161,15 +139,6 @@ proptest! {
         // Centred cumulative sum always ends at (numerically) zero.
         let scale = data.iter().map(|v| v.abs()).fold(1.0, f64::max) * data.len() as f64;
         prop_assert!(p.values().last().unwrap().abs() <= 1e-9 * scale);
-    }
-
-    #[test]
-    fn decimate_then_len(data in finite_vec(1, 200), factor in 1usize..10) {
-        let ts = TimeSeries::from_values(0.0, 1.0, data).unwrap();
-        match ts.decimate_mean(factor) {
-            Ok(d) => prop_assert_eq!(d.len(), ts.len() / factor),
-            Err(_) => prop_assert!(ts.len() < factor),
-        }
     }
 
     #[test]

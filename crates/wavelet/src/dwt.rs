@@ -172,19 +172,6 @@ impl Decomposition {
     }
 }
 
-/// Maximum number of DWT levels applicable to a signal of length `n`
-/// (how many times `n` can be halved while staying even and at least as
-/// long as one filter application).
-pub fn max_levels(n: usize) -> usize {
-    let mut levels = 0;
-    let mut len = n;
-    while len >= 2 && len.is_multiple_of(2) {
-        levels += 1;
-        len /= 2;
-    }
-    levels
-}
-
 /// Multi-level DWT of `signal`.
 ///
 /// # Errors
@@ -358,14 +345,6 @@ mod tests {
         assert!(dwt(&signal, Wavelet::Haar, 5).is_err());
         assert!(dwt(&signal, Wavelet::Haar, 4).is_ok());
         assert!(dwt(&[1.0, f64::NAN], Wavelet::Haar, 1).is_err());
-    }
-
-    #[test]
-    fn max_levels_counts_factor_of_two() {
-        assert_eq!(max_levels(64), 6);
-        assert_eq!(max_levels(48), 4);
-        assert_eq!(max_levels(3), 0);
-        assert_eq!(max_levels(0), 0);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! - [`mod@dwt`] — decimated multi-level DWT with periodic extension,
 //! - [`mod@modwt`] — maximal-overlap (undecimated, shift-invariant) transform
 //!   for arbitrary-length monitor logs,
-//! - [`cwt`](crate::cwt::cwt) — continuous transform (Mexican hat / real
-//!   Morlet) for modulus-maxima inspection,
 //! - [`WaveletLeaders`] — wavelet leaders, the basis of local Hölder and
 //!   multifractal-spectrum estimation.
 //!
@@ -32,13 +30,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cwt;
 pub mod denoise;
 pub mod dwt;
 pub mod filters;
 pub mod leaders;
 pub mod modwt;
-pub mod variance;
 
 pub use dwt::{dwt, Decomposition};
 pub use filters::Wavelet;

@@ -1,6 +1,5 @@
 //! Property-based tests for wavelet transform invariants.
 
-use aging_wavelet::variance::WaveletVariance;
 use aging_wavelet::{dwt, modwt, Wavelet, WaveletLeaders};
 use proptest::prelude::*;
 
@@ -93,28 +92,6 @@ proptest! {
                 prev = l;
             }
         }
-    }
-
-    #[test]
-    fn wavelet_variance_scale_equivariance(signal in signal_strategy(256), k in 0.1f64..50.0) {
-        // Scaling the signal by k scales every per-scale variance by k².
-        let scaled: Vec<f64> = signal.iter().map(|v| k * v).collect();
-        let a = WaveletVariance::compute(&signal, Wavelet::Daubechies4, 4).unwrap();
-        let b = WaveletVariance::compute(&scaled, Wavelet::Daubechies4, 4).unwrap();
-        for (va, vb) in a.variances.iter().zip(&b.variances) {
-            prop_assert!((k * k * va - vb).abs() < 1e-6 * (1.0 + vb.abs()));
-        }
-    }
-
-    #[test]
-    fn wavelet_variance_positive_and_counts_consistent(signal in signal_strategy(200)) {
-        let wv = WaveletVariance::compute(&signal, Wavelet::Haar, 3).unwrap();
-        prop_assert_eq!(wv.variances.len(), 3);
-        for (v, &c) in wv.variances.iter().zip(&wv.counts) {
-            prop_assert!(*v >= 0.0);
-            prop_assert!(c > 0);
-        }
-        prop_assert!(wv.total() >= 0.0);
     }
 
     #[test]

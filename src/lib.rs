@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`timeseries`] | `aging-timeseries` | series container, statistics, trend tests |
 //! | [`par`] | `aging-par` | deterministic chunked scoped-thread parallelism |
-//! | [`wavelet`] | `aging-wavelet` | DWT / MODWT / CWT / wavelet leaders |
+//! | [`wavelet`] | `aging-wavelet` | DWT / MODWT / wavelet leaders / denoising |
 //! | [`fractal`] | `aging-fractal` | generators, Hölder, Hurst, dimensions, spectra |
 //! | [`memsim`] | `aging-memsim` | the simulated testbed (machines, workloads, faults) |
 //! | [`core`] | `aging-core` | the detector, baselines, evaluation, rejuvenation |
@@ -26,8 +26,8 @@
 //! | [`store`] | `aging-store` | crash-safe WAL + snapshot persistence (std-only, CRC-framed) |
 //! | [`serve`] | `aging-serve` | networked TCP ingestion/query server and load-generator client |
 //!
-//! Analysis hot paths (Hölder traces, CWT/WTMM, surrogate ensembles, fleet
-//! scoring) run on a deterministic thread pool ([`par`]): results are
+//! Analysis hot paths (Hölder traces, surrogate ensembles, fleet scoring)
+//! run on a deterministic thread pool ([`par`]): results are
 //! bit-identical for any thread count, and `AGING_THREADS` caps the
 //! parallelism process-wide.
 //!
@@ -92,7 +92,6 @@ pub mod prelude {
         spectrum_trace, spectrum_trace_in, SpectrumConfig, SpectrumWindow, StreamingSpectrum,
     };
     pub use aging_fractal::surrogate::{surrogate_test, surrogate_test_in};
-    pub use aging_fractal::wtmm::{wtmm, wtmm_in, WtmmConfig, WtmmConfigBuilder, WtmmResult};
     pub use aging_fractal::{dimension, generate, hurst, spectrum};
     pub use aging_memsim::{
         simulate, simulate_fleet, simulate_fleet_in, simulate_with_reboots, Bytes, Counter,
