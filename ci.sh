@@ -33,8 +33,9 @@ echo "==> cargo test (AGING_THREADS=4)"
 AGING_THREADS=4 cargo test --workspace --quiet
 
 # The two passes above already run every workspace suite at both thread
-# settings, doc tests included: the spectrum streaming-vs-batch parity
-# proptests, the chaos differential, the serve loopback and
+# settings, doc tests included: the spectrum parity proptests (streaming
+# equals the batch trace and a from-scratch spectrum_in on every window,
+# bit for bit), the chaos differential, the serve loopback and
 # kill-and-recover differentials, the serve read-side query promises
 # (crates/serve/tests/query_read_side.rs), the status reply at protocol
 # v1, v2 and v3 (crates/serve/tests/status_versions.rs), the cluster
@@ -69,7 +70,8 @@ fi
 
 # The E17 differential: Δα(t) drifts upward on aging memsim runs and stays
 # flat on healthy controls, with streaming-vs-batch parity checked inside
-# the experiment at pool sizes 1 and 4 (crates/bench/src/experiments.rs).
+# the experiment at pool sizes 1 and 4 (crates/bench/src/experiments.rs):
+# every streaming emission equals spectrum_in on its window, bit for bit.
 # --no-trajectory keeps CI probe runs out of the committed BENCH histories.
 echo "==> repro e17 differential (quick)"
 if [ "$quick" = "quick" ]; then
@@ -87,17 +89,6 @@ if [ "$quick" = "quick" ]; then
     cargo run -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e18
 else
     cargo run --release -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e18
-fi
-
-# The E19 micro-gate: each StreamingSpectrum emission must cost ≥2× less
-# than the honest batch recompute, stay bit-identical to the batch trace
-# at pool sizes 1 and 4, and drift ≤1e-9 relative from a from-scratch
-# recompute of every window (crates/bench/src/experiments.rs).
-echo "==> repro e19 kernel micro-gate (quick)"
-if [ "$quick" = "quick" ]; then
-    cargo run -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e19
-else
-    cargo run --release -p aging-bench --bin repro -- --quick --no-csv --no-trajectory e19
 fi
 
 # E1–E9 are pinned to their committed outputs: a quick run must reproduce

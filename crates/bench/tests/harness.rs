@@ -1,14 +1,45 @@
 //! Smoke tests for the experiment-reproduction harness: every experiment
 //! must run to completion in quick mode without touching the filesystem.
 
+use std::sync::{PoisonError, RwLock};
+
 use aging_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
 use aging_bench::scenarios;
 
+/// E15's hard gate compares the loopback throughput of two runs, which a
+/// neighbouring experiment's load can tip, so E15 holds this lock
+/// exclusively and every other experiment shares it.
+static RUN_ALONE: RwLock<()> = RwLock::new(());
+
+/// One `#[test]` per experiment, so the harness runs them side by side,
+/// and the list of ids they cover.
+macro_rules! quick_mode_tests {
+    ($($id:ident),*) => {
+        mod every_experiment_runs_in_quick_mode {
+            use super::*;
+
+            $(
+                #[test]
+                fn $id() {
+                    let id = stringify!($id);
+                    let _alone = (id == "e15")
+                        .then(|| RUN_ALONE.write().unwrap_or_else(PoisonError::into_inner));
+                    let _shared = (id != "e15")
+                        .then(|| RUN_ALONE.read().unwrap_or_else(PoisonError::into_inner));
+                    run_experiment(id, true, None).unwrap_or_else(|e| panic!("{id} failed: {e}"));
+                }
+            )*
+        }
+
+        const QUICK_MODE_TESTS: &[&str] = &[$(stringify!($id)),*];
+    };
+}
+
+quick_mode_tests!(e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, e18);
+
 #[test]
-fn every_experiment_runs_in_quick_mode() {
-    for id in ALL_EXPERIMENTS {
-        run_experiment(id, true, None).unwrap_or_else(|e| panic!("{id} failed: {e}"));
-    }
+fn every_experiment_has_a_quick_mode_test() {
+    assert_eq!(QUICK_MODE_TESTS, ALL_EXPERIMENTS);
 }
 
 #[test]

@@ -20,16 +20,17 @@
 //! module: [`spectrum`] computes one window's `ζ(q) → τ(q) → f(α)` chain
 //! and its width `Δα = α_max − α_min`, [`spectrum_trace`] slides that
 //! window over a whole series, and [`StreamingSpectrum`] is the
-//! bounded-memory online form. Both rolling estimators run one shared
-//! incremental structure-function kernel that slides the per-`(q, scale)`
-//! moment accumulators by `stride` instead of recomputing the full
-//! window (O(stride) work per emission, with a periodic exact rebuild
-//! bounding accumulated float residue), so streaming emissions are
-//! bit-identical to the batch trace by construction. The q-sweep is
-//! embarrassingly parallel and runs on the [`aging_par::Pool`] with
-//! pool-size bit-parity.
+//! bounded-memory online form. Both rolling estimators run one exact
+//! structure-function pass per emission: each moment order sums every
+//! scale of its window through the increment kernel the Hölder ladder
+//! uses, in the order [`spectrum`] sums them, so every emission equals
+//! [`spectrum`] on its window bit for bit. The q-sweep is embarrassingly
+//! parallel and runs on the [`aging_par::Pool`] with pool-size
+//! bit-parity.
 
+use crate::holder::dyadic_increment_sums;
 use aging_par::Pool;
+use aging_timeseries::persist::Reader;
 use aging_timeseries::regression::ols;
 use aging_timeseries::ring::RingBuffer;
 use aging_timeseries::window::dyadic_scales;
@@ -246,10 +247,11 @@ pub fn structure_function_in(data: &[f64], qs: &[f64], pool: &Pool) -> Result<Sc
 ///
 /// `powf` dominated the per-emission profile of the rolling estimators;
 /// the ladders are pure multiplies (plus one correctly-rounded `sqrt`)
-/// the compiler keeps in registers. Every structure-function path — the
-/// batch fit and the incremental kernel — computes moments through this
-/// one helper, so streaming==batch bit-parity is unaffected by the
-/// substitution. Callers guarantee `d > 0`.
+/// the compiler keeps in registers. The batch fit computes moments
+/// through this helper and the rolling estimators through
+/// [`moment_sums`], its ladder arm for arm, so streaming==batch
+/// bit-parity is unaffected by the substitution. Callers guarantee
+/// `d > 0`.
 #[inline]
 fn moment_pow(d: f64, q: f64) -> f64 {
     if q == 1.0 {
@@ -275,96 +277,51 @@ fn moment_pow(d: f64, q: f64) -> f64 {
     }
 }
 
-/// Runs `$with(args…, pow)` with `pow` resolved from `$q` — the same
-/// ladder as [`moment_pow`], expression for expression, but dispatched
-/// once per call instead of once per element, so the kernel inner loops
-/// monomorphize into tight branch-free multiply loops. Any edit here must
-/// mirror [`moment_pow`] exactly or bit-parity breaks.
-/// The `GUARD = false` cases drop the per-element `d > 0` test entirely:
-/// for those moment orders `pow(0) == +0.0` exactly, and adding or
-/// subtracting `+0.0` never changes the accumulator's bits (the sums
-/// never hold `-0.0`: they start at `+0.0` and fold non-negative terms,
-/// and `x − x` rounds to `+0.0`). Division-based and `powf` orders keep
-/// the guard, since `d = 0` would inject an infinity.
-macro_rules! q_dispatch {
-    ($q:ident, $with:ident($($args:expr),*)) => {
-        if $q == 1.0 {
-            $with::<false, _>($($args,)* |d: f64| d)
-        } else if $q == 2.0 {
-            $with::<false, _>($($args,)* |d: f64| d * d)
-        } else if $q == 3.0 {
-            $with::<false, _>($($args,)* |d: f64| (d * d) * d)
-        } else if $q == 4.0 {
-            $with::<false, _>($($args,)* |d: f64| {
-                let d2 = d * d;
-                d2 * d2
-            })
-        } else if $q == 5.0 {
-            $with::<false, _>($($args,)* |d: f64| {
-                let d2 = d * d;
-                (d2 * d2) * d
-            })
-        } else if $q == 0.5 {
-            $with::<false, _>($($args,)* |d: f64| d.sqrt())
-        } else if $q == -1.0 {
-            $with::<true, _>($($args,)* |d: f64| 1.0 / d)
-        } else if $q == -2.0 {
-            $with::<true, _>($($args,)* |d: f64| 1.0 / (d * d))
-        } else {
-            $with::<true, _>($($args,)* |d: f64| d.powf($q))
-        }
-    };
-}
+/// [`dyadic_scales`] starts at lag `2 = 2^1` and doubles, so the rolling
+/// estimators' scales are the dyadic lags from this shift up.
+const FIRST_SCALE_SHIFT: usize = 1;
 
-/// `Σ_t pow(|x[t+s] − x[t]|)` over pairs with `d > 0`, ascending `t` —
-/// the accumulation order of [`structure_fit_q`].
-#[inline]
-fn moment_sum_with<const GUARD: bool, F: Fn(f64) -> f64>(window: &[f64], s: usize, pow: F) -> f64 {
-    let mut acc = 0.0;
-    for t in 0..window.len() - s {
-        let d = (window[t + s] - window[t]).abs();
-        if !GUARD || d > 0.0 {
-            acc += pow(d);
-        }
+/// Writes `Σ_t d^q` over the pairs with `d = |x[t+s] − x[t]| > 0` into
+/// `sums[j]`, for the scales `s = 2^(FIRST_SCALE_SHIFT + j)`: the moment
+/// sums of [`structure_fit_q`], bit for bit.
+///
+/// The q dispatch below is [`moment_pow`]'s ladder, expression for
+/// expression, resolved once per call instead of once per element, so
+/// each arm's kernel loop compiles to tight branch-free multiplies. Any
+/// edit here must mirror [`moment_pow`] exactly or bit-parity breaks.
+/// The unguarded arms drop the per-element `d > 0` test: for those
+/// moment orders `pow(0) == +0.0` exactly, and adding `+0.0` never
+/// changes a sum's bits (the sums start at `+0.0` and fold non-negative
+/// terms, so they never hold `-0.0`, and `x − x` rounds to `+0.0`).
+/// Division-based and `powf` orders keep the guard, since `d = 0` would
+/// inject an infinity.
+fn moment_sums(window: &[f64], sums: &mut [f64], q: f64) {
+    let first = FIRST_SCALE_SHIFT;
+    if q == 1.0 {
+        dyadic_increment_sums::<false, _>(window, first, sums, |d| d);
+    } else if q == 2.0 {
+        dyadic_increment_sums::<false, _>(window, first, sums, |d| d * d);
+    } else if q == 3.0 {
+        dyadic_increment_sums::<false, _>(window, first, sums, |d| (d * d) * d);
+    } else if q == 4.0 {
+        dyadic_increment_sums::<false, _>(window, first, sums, |d| {
+            let d2 = d * d;
+            d2 * d2
+        });
+    } else if q == 5.0 {
+        dyadic_increment_sums::<false, _>(window, first, sums, |d| {
+            let d2 = d * d;
+            (d2 * d2) * d
+        });
+    } else if q == 0.5 {
+        dyadic_increment_sums::<false, _>(window, first, sums, |d| d.sqrt());
+    } else if q == -1.0 {
+        dyadic_increment_sums::<true, _>(window, first, sums, |d| 1.0 / d);
+    } else if q == -2.0 {
+        dyadic_increment_sums::<true, _>(window, first, sums, |d| 1.0 / (d * d));
+    } else {
+        dyadic_increment_sums::<true, _>(window, first, sums, |d| d.powf(q));
     }
-    acc
-}
-
-/// [`moment_sum_with`] with the q ladder hoisted out of the loop;
-/// bit-identical to summing [`moment_pow`] per element.
-#[inline]
-fn moment_sum(window: &[f64], s: usize, q: f64) -> f64 {
-    q_dispatch!(q, moment_sum_with(window, s))
-}
-
-/// Subtracts the departing moments then adds the arriving ones onto `a`
-/// (pairs with `d > 0`, ascending within each span).
-#[inline]
-fn slide_row_with<const GUARD: bool, F: Fn(f64) -> f64>(
-    a: f64,
-    dep: &[f64],
-    arr: &[f64],
-    pow: F,
-) -> f64 {
-    let mut a = a;
-    for &d in dep {
-        if !GUARD || d > 0.0 {
-            a -= pow(d);
-        }
-    }
-    for &d in arr {
-        if !GUARD || d > 0.0 {
-            a += pow(d);
-        }
-    }
-    a
-}
-
-/// [`slide_row_with`] with the q ladder hoisted out of the loops;
-/// bit-identical to applying [`moment_pow`] per element.
-#[inline]
-fn slide_row(a: f64, dep: &[f64], arr: &[f64], q: f64) -> f64 {
-    q_dispatch!(q, slide_row_with(a, dep, arr))
 }
 
 /// One moment order's log–log structure-function fit: `(ζ(q), R²)`.
@@ -485,12 +442,9 @@ pub struct SpectrumWindow {
 
 /// Batch reference estimator for one window: `ζ(q)` via
 /// [`structure_function_in`], `τ(q) = ζ(q) − 1`, the [`legendre`]
-/// transform, and `Δα`. The rolling estimators' *first* emission (and
-/// every periodic exact rebuild) is bit-identical to this routine; their
-/// intermediate emissions slide the moment accumulators incrementally,
-/// identically in [`spectrum_trace`] and [`StreamingSpectrum`], so
-/// streaming stays bit-identical to the batch trace while drifting only
-/// in the low bits of this per-window recompute.
+/// transform, and `Δα`. Every emission of the rolling estimators
+/// ([`spectrum_trace`] and [`StreamingSpectrum`]) is bit-identical to
+/// this routine on the emission's window.
 ///
 /// # Errors
 ///
@@ -520,35 +474,23 @@ pub fn spectrum_in(data: &[f64], qs: &[f64], pool: &Pool) -> Result<SpectrumEsti
     })
 }
 
-/// Slides between exact accumulator rebuilds in the incremental kernel.
-///
-/// Each incremental slide leaves O(ulp) residue in the per-`(q, scale)`
-/// moment sums (a subtract does not perfectly cancel the add that
-/// installed the pair); a periodic full O(window) pass rebounds that
-/// drift. Both the batch trace and the streaming estimator rebuild on
-/// the identical slide cadence, so bit-parity between them is unaffected.
-const REBUILD_EVERY: u32 = 32;
-
 /// Upper bound on the number of structure-function scales: scales are
 /// distinct powers of two that fit in a `usize`, so 64 always suffices.
-/// Bounding them lets the per-q kernel tasks carry their accumulator
-/// rows by value on the stack instead of allocating per emission.
+/// Bounding them lets the per-q tasks carry their moment sums and fit
+/// points on the stack instead of allocating per emission.
 const MAX_SCALES: usize = 64;
 
-/// Per-q scaling fit from the kernel's accumulator row — the exact
-/// decision chain of [`structure_fit_q`]'s tail: per scale, mean moment
+/// Per-q scaling fit from one window's moment sums — the exact decision
+/// chain of [`structure_fit_q`]'s tail: per scale, mean moment
 /// `m = acc / count` contributes `(ln s, ln m)` when `count > 0` and `m`
 /// is positive finite; at least 3 surviving points feed [`ols`].
-fn fit_row(q: f64, row: &[f64], counts: &[u64], log_scales: &[f64]) -> Result<(f64, f64)> {
-    // Scales are distinct powers of two, so there are at most
-    // [`MAX_SCALES`] of them: the fit points live on the emission path's
-    // stack, never the heap.
+fn fit_row(q: f64, row: &[f64], counts: &[f64], log_scales: &[f64]) -> Result<(f64, f64)> {
     let mut xs = [0.0f64; MAX_SCALES];
     let mut ys = [0.0f64; MAX_SCALES];
     let mut len = 0usize;
     for (si, &acc) in row.iter().enumerate() {
-        if counts[si] > 0 {
-            let m = acc / counts[si] as f64;
+        if counts[si] > 0.0 {
+            let m = acc / counts[si];
             if m > 0.0 && m.is_finite() {
                 xs[len] = log_scales[si];
                 ys[len] = m.ln();
@@ -603,220 +545,10 @@ fn alpha_range_from_fits(qs: &[f64], fits: &[(f64, f64)]) -> Result<(f64, f64)> 
     }
 }
 
-/// The incremental structure-function kernel shared by the offline
-/// [`spectrum_trace_in`] and the online [`StreamingSpectrum`].
-///
-/// Holds one moment accumulator `acc[q][s] = Σ_t d(t,s)^q` (pairs with
-/// `d > 0`) and one pair count per scale. A slide by `stride` samples
-/// subtracts the departing pairs and adds the arriving ones — at most
-/// `min(stride, window − s)` each per scale, ascending `t`, subtract
-/// before add — instead of re-walking all `window − s` pairs. The
-/// increment magnitudes are computed once into shared scratch and reused
-/// by every q task, so the per-q pool work is pure ladder arithmetic.
-/// Every [`REBUILD_EVERY`]-th slide runs the exact full pass instead.
-///
-/// Both consumers drive the identical call sequence (one `rebuild` on the
-/// first full window, then one `slide` per grid step), which is what
-/// makes streaming==batch bit-parity hold by construction.
-#[derive(Debug, Clone)]
-struct SlidingStructure {
-    window: usize,
-    stride: usize,
-    qs: Vec<f64>,
-    scales: Vec<usize>,
-    log_scales: Vec<f64>,
-    /// `Σ d^q` per `(q, scale)`, row-major by q; valid once `initialized`.
-    acc: Vec<f64>,
-    /// Pairs with `d > 0` per scale (q-independent).
-    counts: Vec<u64>,
-    slides_since_rebuild: u32,
-    initialized: bool,
-    /// Scratch: departing increment magnitudes, per-scale spans.
-    dep: Vec<f64>,
-    /// Scratch: arriving increment magnitudes, per-scale spans.
-    arr: Vec<f64>,
-    /// Per-scale `(offset, len)` spans into `dep`/`arr`.
-    spans: Vec<(usize, usize)>,
-}
-
-impl SlidingStructure {
-    fn new(config: &SpectrumConfig) -> Result<Self> {
-        let scales = dyadic_scales(config.window, 8)?;
-        let log_scales: Vec<f64> = scales.iter().map(|&s| (s as f64).ln()).collect();
-        let ns = scales.len();
-        Ok(SlidingStructure {
-            window: config.window,
-            stride: config.stride,
-            qs: config.qs.clone(),
-            acc: vec![0.0; config.qs.len() * ns],
-            counts: vec![0; ns],
-            slides_since_rebuild: 0,
-            initialized: false,
-            dep: Vec::new(),
-            arr: Vec::new(),
-            spans: Vec::with_capacity(ns),
-            scales,
-            log_scales,
-        })
-    }
-
-    /// Exact full pass over one complete window — bit-identical to
-    /// [`structure_fit_q`] per q. Resets the rebuild cadence.
-    fn rebuild(&mut self, window: &[f64], pool: &Pool) -> Result<Vec<(f64, f64)>> {
-        debug_assert_eq!(window.len(), self.window);
-        for (si, &s) in self.scales.iter().enumerate() {
-            let mut count = 0u64;
-            for t in 0..window.len() - s {
-                if (window[t + s] - window[t]).abs() > 0.0 {
-                    count += 1;
-                }
-            }
-            self.counts[si] = count;
-        }
-        let ns = self.scales.len();
-        let (qs, scales, counts, log_scales) =
-            (&self.qs, &self.scales, &self.counts, &self.log_scales);
-        let rows = pool.try_map_indexed(qs.len(), |i| {
-            let q = qs[i];
-            let mut row = [0.0f64; MAX_SCALES];
-            for (si, &s) in scales.iter().enumerate() {
-                row[si] = moment_sum(window, s, q);
-            }
-            let fit = fit_row(q, &row[..ns], counts, log_scales);
-            Ok::<_, Error>((row, fit))
-        })?;
-        self.initialized = true;
-        self.slides_since_rebuild = 0;
-        self.merge_rows(rows)
-    }
-
-    /// One incremental slide. `ext` is the outgoing window plus the
-    /// `stride` samples that follow it (`window + stride` total): the
-    /// outgoing window is `ext[..window]`, the incoming `ext[stride..]`.
-    fn slide(&mut self, ext: &[f64], pool: &Pool) -> Result<Vec<(f64, f64)>> {
-        debug_assert_eq!(ext.len(), self.window + self.stride);
-        debug_assert!(self.initialized);
-        if self.slides_since_rebuild + 1 >= REBUILD_EVERY {
-            return self.rebuild(&ext[self.stride..], pool);
-        }
-        self.slides_since_rebuild += 1;
-
-        // Increment magnitudes once, shared by every q task. Departing
-        // pairs start at t ∈ [0, m); arriving ones end the new window,
-        // u ∈ [stride + (window − s) − m, stride + (window − s)).
-        self.dep.clear();
-        self.arr.clear();
-        self.spans.clear();
-        let (window, stride) = (self.window, self.stride);
-        for (si, &s) in self.scales.iter().enumerate() {
-            let m = stride.min(window - s);
-            let off = self.dep.len();
-            self.dep.extend((0..m).map(|t| (ext[t + s] - ext[t]).abs()));
-            let hi = stride + (window - s);
-            self.arr
-                .extend((hi - m..hi).map(|u| (ext[u + s] - ext[u]).abs()));
-            // Net count change for this scale; the branchless form lets
-            // the comparison loops vectorize.
-            let mut delta = 0i64;
-            for &d in &self.dep[off..off + m] {
-                delta -= (d > 0.0) as i64;
-            }
-            for &d in &self.arr[off..off + m] {
-                delta += (d > 0.0) as i64;
-            }
-            self.counts[si] = (self.counts[si] as i64 + delta) as u64;
-            self.spans.push((off, m));
-        }
-
-        let ns = self.scales.len();
-        let (qs, acc, counts, log_scales) = (&self.qs, &self.acc, &self.counts, &self.log_scales);
-        let (dep, arr, spans) = (&self.dep, &self.arr, &self.spans);
-        let rows = pool.try_map_indexed(qs.len(), |i| {
-            let q = qs[i];
-            let mut row = [0.0f64; MAX_SCALES];
-            for (si, &(off, m)) in spans.iter().enumerate() {
-                row[si] = slide_row(acc[i * ns + si], &dep[off..off + m], &arr[off..off + m], q);
-            }
-            let fit = fit_row(q, &row[..ns], counts, log_scales);
-            Ok::<_, Error>((row, fit))
-        })?;
-        self.merge_rows(rows)
-    }
-
-    /// Commits the per-q accumulator rows in q order, then surfaces the
-    /// lowest-q fit error (after the commit, so the kernel state stays
-    /// consistent even when a fit degenerates).
-    #[allow(clippy::type_complexity)]
-    fn merge_rows(
-        &mut self,
-        rows: Vec<([f64; MAX_SCALES], Result<(f64, f64)>)>,
-    ) -> Result<Vec<(f64, f64)>> {
-        let ns = self.scales.len();
-        let mut fits = Vec::with_capacity(rows.len());
-        for (i, (row, fit)) in rows.into_iter().enumerate() {
-            self.acc[i * ns..(i + 1) * ns].copy_from_slice(&row[..ns]);
-            fits.push(fit);
-        }
-        fits.into_iter().collect()
-    }
-
-    fn encode_state(&self, out: &mut Vec<u8>) {
-        use aging_timeseries::persist::{put_bool, put_f64, put_u32, put_u64, put_usize};
-        put_bool(out, self.initialized);
-        put_u32(out, self.slides_since_rebuild);
-        put_usize(out, self.counts.len());
-        for &c in &self.counts {
-            put_u64(out, c);
-        }
-        put_usize(out, self.acc.len());
-        for &a in &self.acc {
-            put_f64(out, a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut aging_timeseries::persist::Reader<'_>) -> Result<()> {
-        let initialized = r.bool()?;
-        let slides_since_rebuild = r.u32()?;
-        let nc = r.usize_()?;
-        if nc != self.counts.len() {
-            return Err(Error::invalid(
-                "persist",
-                format!(
-                    "spectrum scale count {} != snapshot {nc}",
-                    self.counts.len()
-                ),
-            ));
-        }
-        let mut counts = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            counts.push(r.u64()?);
-        }
-        let na = r.usize_()?;
-        if na != self.acc.len() {
-            return Err(Error::invalid(
-                "persist",
-                format!(
-                    "spectrum accumulator count {} != snapshot {na}",
-                    self.acc.len()
-                ),
-            ));
-        }
-        let mut acc = Vec::with_capacity(na);
-        for _ in 0..na {
-            acc.push(r.f64()?);
-        }
-        self.initialized = initialized;
-        self.slides_since_rebuild = slides_since_rebuild;
-        self.counts = counts;
-        self.acc = acc;
-        Ok(())
-    }
-}
-
-/// Offline rolling-window `Δα(t)` trace: one [`SpectrumWindow`] per
+/// Offline rolling-window `Δα(t)` trace: [`spectrum`] on every
 /// window/stride grid position, on exactly the grid [`StreamingSpectrum`]
-/// emits on, driven through the same incremental kernel. This is the
-/// batch reference of E17's streaming-vs-batch parity gate.
+/// emits on. This is the batch reference of E17's streaming-vs-batch
+/// parity gate.
 ///
 /// # Errors
 ///
@@ -839,46 +571,35 @@ pub fn spectrum_trace_in(
     config.validate()?;
     Error::require_finite(data)?;
     let mut out = Vec::new();
-    if data.len() < config.window {
-        return Ok(out);
-    }
-    let mut kernel = SlidingStructure::new(config)?;
-    let mut emit = |start: usize, fits: &[(f64, f64)]| -> Result<()> {
-        let (alpha_min, alpha_max) = alpha_range_from_fits(&config.qs, fits)?;
-        out.push(SpectrumWindow {
-            input_index: (start + config.window - 1) as u64,
-            alpha_min,
-            alpha_max,
-            delta_alpha: alpha_max - alpha_min,
-        });
-        Ok(())
-    };
-    let fits = kernel.rebuild(&data[..config.window], pool)?;
-    emit(0, &fits)?;
     let mut start = 0usize;
-    while start + config.stride + config.window <= data.len() {
-        let fits = kernel.slide(&data[start..start + config.window + config.stride], pool)?;
+    while start + config.window <= data.len() {
+        let end = start + config.window;
+        let est = spectrum_in(&data[start..end], &config.qs, pool)?;
+        out.push(SpectrumWindow {
+            input_index: (end - 1) as u64,
+            alpha_min: est.alpha_min,
+            alpha_max: est.alpha_max,
+            delta_alpha: est.delta_alpha,
+        });
         start += config.stride;
-        emit(start, &fits)?;
     }
     Ok(out)
 }
 
 /// Bounded-memory rolling spectrum estimator.
 ///
-/// Holds the trailing `window + stride` samples in a [`RingBuffer`] (the
-/// extra `stride` keeps the outgoing window's departing pairs
-/// recomputable); once the window has filled, every `stride`-th push
-/// advances the shared `SlidingStructure` kernel — an exact full pass
-/// on the first emission, an O(stride) incremental slide afterwards — so
-/// each emitted [`SpectrumWindow`] is bit-identical to the offline
-/// [`spectrum_trace`] at the same grid position — parity by construction,
-/// at any pool size and any push chunking.
+/// Holds the trailing `window` samples in a [`RingBuffer`]; once the
+/// window has filled, every `stride`-th push runs one exact
+/// structure-function pass over it, so each emitted [`SpectrumWindow`]
+/// equals [`spectrum`] on its window and the offline [`spectrum_trace`]
+/// at the same grid position bit for bit, at any pool size and any push
+/// chunking.
 #[derive(Debug, Clone)]
 pub struct StreamingSpectrum {
+    config: SpectrumConfig,
+    log_scales: Vec<f64>,
     ring: RingBuffer,
     scratch: Vec<f64>,
-    kernel: SlidingStructure,
 }
 
 impl StreamingSpectrum {
@@ -890,25 +611,29 @@ impl StreamingSpectrum {
     pub fn new(config: &SpectrumConfig) -> Result<Self> {
         config.validate()?;
         Ok(StreamingSpectrum {
-            ring: RingBuffer::new(config.window + config.stride)?,
-            scratch: Vec::with_capacity(config.window + config.stride),
-            kernel: SlidingStructure::new(config)?,
+            config: config.clone(),
+            log_scales: dyadic_scales(config.window, 8)?
+                .iter()
+                .map(|&s| (s as f64).ln())
+                .collect(),
+            ring: RingBuffer::new(config.window)?,
+            scratch: Vec::with_capacity(config.window),
         })
     }
 
     /// Window length in samples.
     pub fn window(&self) -> usize {
-        self.kernel.window
+        self.config.window
     }
 
     /// Pushes between emissions.
     pub fn stride(&self) -> usize {
-        self.kernel.stride
+        self.config.stride
     }
 
     /// The moment-order grid.
     pub fn qs(&self) -> &[f64] {
-        &self.kernel.qs
+        &self.config.qs
     }
 
     /// Total samples pushed over this estimator's lifetime.
@@ -940,26 +665,41 @@ impl StreamingSpectrum {
         }
         self.ring.push(value);
         let n = self.ring.pushed();
-        let window = self.kernel.window as u64;
-        if n < window || !(n - window).is_multiple_of(self.kernel.stride as u64) {
+        let window = self.config.window as u64;
+        if n < window || !(n - window).is_multiple_of(self.config.stride as u64) {
             return Ok(None);
         }
         self.ring.copy_to(&mut self.scratch);
-        let fits = if self.kernel.initialized {
-            // The ring holds window + stride samples: the outgoing window
-            // is scratch[..window], the incoming one scratch[stride..].
-            self.kernel.slide(&self.scratch, pool)?
-        } else {
-            // First emission: exactly `window` samples retained so far.
-            self.kernel.rebuild(&self.scratch, pool)?
-        };
-        let (alpha_min, alpha_max) = alpha_range_from_fits(&self.kernel.qs, &fits)?;
-        Ok(Some(SpectrumWindow {
-            input_index: n - 1,
+        self.emission(n - 1, pool).map(Some)
+    }
+
+    /// The emission for the window in `scratch`, which ends at input
+    /// `input_index`: [`spectrum_in`]'s `α_min`, `α_max` and `Δα` on it,
+    /// bit for bit.
+    ///
+    /// Each moment order is one pool task that sums every scale of the
+    /// window in one pass of the increment kernel ([`moment_sums`]). Each
+    /// sum keeps [`structure_fit_q`]'s ascending-`t` order, and the
+    /// per-scale pair counts are the kernel's guarded zeroth moment, so
+    /// every fit sees the numbers [`structure_fit_q`] sees.
+    fn emission(&self, input_index: u64, pool: &Pool) -> Result<SpectrumWindow> {
+        let (window, qs, log_scales) = (&self.scratch, &self.config.qs, &self.log_scales);
+        let ns = log_scales.len();
+        let mut counts = [0.0f64; MAX_SCALES];
+        dyadic_increment_sums::<true, _>(window, FIRST_SCALE_SHIFT, &mut counts[..ns], |_| 1.0);
+        let counts = &counts[..ns];
+        let fits = pool.try_map_indexed(qs.len(), |i| {
+            let mut sums = [0.0f64; MAX_SCALES];
+            moment_sums(window, &mut sums[..ns], qs[i]);
+            fit_row(qs[i], &sums[..ns], counts, log_scales)
+        })?;
+        let (alpha_min, alpha_max) = alpha_range_from_fits(qs, &fits)?;
+        Ok(SpectrumWindow {
+            input_index,
             alpha_min,
             alpha_max,
             delta_alpha: alpha_max - alpha_min,
-        }))
+        })
     }
 
     /// Pushes a batch of samples, collecting emissions into `out`
@@ -997,33 +737,48 @@ impl StreamingSpectrum {
 
     /// Clears all samples and the emission phase, keeping the parameters.
     pub fn reset(&mut self) {
-        let config = SpectrumConfig {
-            window: self.kernel.window,
-            stride: self.kernel.stride,
-            qs: std::mem::take(&mut self.kernel.qs),
-        };
-        *self = StreamingSpectrum::new(&config).expect("parameters already valid");
+        self.ring = RingBuffer::new(self.config.window).expect("window already validated");
     }
 
-    /// Serialises the dynamic state (ring contents and push count plus
-    /// the kernel's moment accumulators and rebuild cadence; the
-    /// configuration is not persisted).
+    /// Serialises the dynamic state: the ring of the last `window`
+    /// samples, which carries the push count (the configuration is not
+    /// persisted).
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         self.ring.encode_state(out);
-        self.kernel.encode_state(out);
     }
 
     /// Restores dynamic state written by
     /// [`StreamingSpectrum::encode_state`] into an estimator built with
     /// the same configuration.
     ///
+    /// Also accepts the layout written while the rolling estimators slid
+    /// their moment sums: a ring of `window + stride` samples (its encoded
+    /// capacity tells the layouts apart) followed by the sliding kernel's
+    /// accumulators. The last `window` samples and the push count are
+    /// kept and the accumulators are skipped, since each emission
+    /// recomputes its window.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] on truncated or inconsistent
     /// bytes.
-    pub fn restore_state(&mut self, r: &mut aging_timeseries::persist::Reader<'_>) -> Result<()> {
-        self.ring.restore_state(r)?;
-        self.kernel.restore_state(r)
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        if r.clone().usize_()? == self.config.window {
+            return self.ring.restore_state(r);
+        }
+        let mut legacy = RingBuffer::new(self.config.window + self.config.stride)?;
+        legacy.restore_state(r)?;
+        // The sliding kernel's initialized flag and slides since its last
+        // rebuild, then its per-scale pair counts (u64) and per-(q, scale)
+        // moment sums (f64).
+        r.bool()?;
+        r.u32()?;
+        for _ in 0..2 {
+            let n = r.count(Reader::u64, 8)?;
+            r.take(n * 8)?;
+        }
+        self.ring = legacy.resized(self.config.window)?;
+        Ok(())
     }
 }
 
@@ -1573,6 +1328,58 @@ mod tests {
         assert_eq!(stream.window(), cfg.window);
         assert_eq!(stream.stride(), cfg.stride);
         assert_eq!(stream.qs(), cfg.qs.as_slice());
+    }
+
+    /// An integer random walk times 0.37: samples repeat exactly, so
+    /// some increments are zero.
+    fn repeating_walk(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        let mut k = 0i64;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                k += (state % 3) as i64 - 1;
+                k as f64 * 0.37
+            })
+            .collect()
+    }
+
+    #[test]
+    fn moment_sums_match_a_per_lag_loop_bitwise() {
+        // The rolling grids never reach the guarded arms (negative and
+        // `powf` orders), so this is their only check; 9 lags cross the
+        // kernel's 8-lag group boundary.
+        let qs = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0, -1.5];
+        for lags in 1..=9usize {
+            let top = 1usize << (FIRST_SCALE_SHIFT + lags - 1);
+            for (n, seed) in [(top + 1, 1u64), (top + 37, 2), (2 * top + 5, 3)] {
+                let x = &repeating_walk(n, seed);
+                let lag = |j: usize| 1usize << (FIRST_SCALE_SHIFT + j);
+                let increments = |s: usize| (0..n - s).map(move |t| (x[t + s] - x[t]).abs());
+                assert!(increments(lag(0)).any(|d| d == 0.0), "no zero increment");
+                for q in qs {
+                    let mut sums = [f64::NAN; 9];
+                    moment_sums(x, &mut sums[..lags], q);
+                    for (j, sum) in sums[..lags].iter().enumerate() {
+                        let mut naive = 0.0;
+                        for d in increments(lag(j)).filter(|&d| d > 0.0) {
+                            naive += moment_pow(d, q);
+                        }
+                        assert_eq!(sum.to_bits(), naive.to_bits(), "q={q} lag {} n={n}", lag(j));
+                    }
+                }
+                let mut counts = [f64::NAN; 9];
+                dyadic_increment_sums::<true, _>(x, FIRST_SCALE_SHIFT, &mut counts[..lags], |_| {
+                    1.0
+                });
+                for (j, &count) in counts[..lags].iter().enumerate() {
+                    let naive = increments(lag(j)).filter(|&d| d > 0.0).count();
+                    assert_eq!(count, naive as f64, "pair count at lag {} n={n}", lag(j));
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   emissions,
 //! - `StreamingSpectrum::push_in` between emissions (emissions
 //!   themselves go through the pool's `try_map_indexed`, which returns
-//!   its results in a fresh `Vec` — that per-emission cost is bounded by
-//!   `repro e19`, not by this guard).
+//!   its results in a fresh `Vec` — perfbench times that per-emission
+//!   cost as `fractal.spectrum.us_per_emission`; this guard does not
+//!   cover it).
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test can pollute
 //! the global counter.
@@ -397,7 +398,7 @@ fn streaming_dimension_stays_allocation_free(method: WindowDimension) {
 }
 
 /// Streaming spectrum pushes between emissions must not allocate (the
-/// emission itself pays one pool fan-out, gated by `repro e19`).
+/// emission itself pays one pool fan-out).
 fn streaming_spectrum_between_emissions_stays_allocation_free() {
     let config = SpectrumConfig::default();
     let (window, stride) = (config.window, config.stride);

@@ -9,9 +9,18 @@
 //! to the same alerts and final state as an uninterrupted run. A
 //! reordered, resized or re-coded field fails here even when a same-build
 //! round trip would still pass.
+//!
+//! The `spectrum-sliding` rows are spectrum states in the layout written
+//! while the rolling spectrum slid its moment sums. They must restore and
+//! continue like the others, but they re-encode in the current layout,
+//! and their baseline and last alert hold widths the sliding kernel
+//! computed, which differ from a current run's in the low bits. So the
+//! uninterrupted run they are held to is a current run that carries the
+//! blob's alarm state from the committed point on.
 
 use aging_core::baseline::TrendPredictorConfig;
 use aging_core::detector::{AlertLevel, DetectorConfig};
+use aging_fractal::spectrum::StreamingSpectrum;
 use aging_stream::detector::{
     DetectorSpec, SpectrumDetectorConfig, StreamAlert, StreamingDetector,
 };
@@ -113,28 +122,69 @@ fn run(det: &mut StreamingDetector, values: &[f64]) -> Vec<(usize, StreamAlert)>
         .collect()
 }
 
+/// `live`, a spectrum detector that has taken `head`, with its alarm
+/// state (the discipline, last alert and last width that follow the
+/// estimator in the encoding) replaced by `restored`'s.
+fn carrying_alarm_state(
+    spec: &DetectorSpec,
+    live: &StreamingDetector,
+    head: &[f64],
+    restored: &StreamingDetector,
+) -> StreamingDetector {
+    let DetectorSpec::Spectrum(cfg) = spec else {
+        panic!("only spectrum states have a sliding layout");
+    };
+    let mut estimator = StreamingSpectrum::new(&cfg.spectrum).unwrap();
+    for &v in head {
+        estimator.push(v).unwrap();
+    }
+    let mut estimator_state = Vec::new();
+    estimator.encode_state(&mut estimator_state);
+    // The family tag, the estimator, then the alarm state.
+    let split = 1 + estimator_state.len();
+    let mut blob = encoded(live);
+    assert_eq!(blob[1..split], estimator_state[..]);
+    blob.truncate(split);
+    blob.extend_from_slice(&encoded(restored)[split..]);
+    let mut twin = StreamingDetector::new(spec).unwrap();
+    twin.restore_state(&mut Reader::new(&blob)).unwrap();
+    twin
+}
+
 #[test]
 fn committed_states_restore_reencode_and_resume_identically() {
     let mut checked = Vec::new();
     for line in FIXTURE.lines().filter(|l| !l.starts_with('#')) {
         let mut fields = line.split_whitespace();
-        let family = fields.next().expect("family");
+        let row = fields.next().expect("family");
+        let (family, sliding) = match row.strip_suffix("-sliding") {
+            Some(family) => (family, true),
+            None => (row, false),
+        };
         let point: usize = fields.next().expect("point").parse().expect("sample count");
         let blob = from_hex(fields.next().expect("state"));
         let (spec, signal) = case(family);
-        let at = format!("{family} after {point} samples");
+        let at = format!("{row} after {point} samples");
 
-        // The blob restores and re-encodes to the same bytes.
+        // The blob restores, and a current-layout blob re-encodes to the
+        // same bytes.
         let mut restored = StreamingDetector::new(&spec).unwrap();
         let mut r = Reader::new(&blob);
         restored.restore_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(encoded(&restored), blob, "{at}: re-encoding differs");
+        if !sliding {
+            assert_eq!(encoded(&restored), blob, "{at}: re-encoding differs");
+        }
 
-        // A fresh run reaches exactly the committed state at that point.
+        // A fresh run reaches exactly a current-layout blob's state at
+        // that point.
         let mut live = StreamingDetector::new(&spec).unwrap();
         let head = run(&mut live, &signal[..point]);
-        assert_eq!(encoded(&live), blob, "{at}: fresh run's state differs");
+        if sliding {
+            live = carrying_alarm_state(&spec, &live, &signal[..point], &restored);
+        } else {
+            assert_eq!(encoded(&live), blob, "{at}: fresh run's state differs");
+        }
 
         // Both continue to the same alerts and the same final state.
         let tail = &signal[point..];
@@ -151,10 +201,10 @@ fn committed_states_restore_reencode_and_resume_identically() {
         // The input alarms, either before or after the committed point.
         let alarmed_before = head.iter().any(|(_, a)| a.level == AlertLevel::Alarm);
         assert!(live.is_alarmed(), "{at}: the input must alarm");
-        checked.push((family.to_string(), alarmed_before));
+        checked.push((row.to_string(), alarmed_before));
     }
     // Every family is pinned both while forming and after its alarm.
-    for family in ["holder", "trend", "spectrum"] {
+    for family in ["holder", "trend", "spectrum", "spectrum-sliding"] {
         for alarmed in [false, true] {
             assert!(
                 checked.contains(&(family.to_string(), alarmed)),

@@ -113,7 +113,8 @@ fn truncated(wanted: usize, left: usize) -> Error {
 /// [`Error::InvalidParameter`] tagged `persist`. A declared element count
 /// is trusted only after [`Reader::count`] has checked it against the
 /// bytes left, so no decoder allocates for more than its input holds.
-#[derive(Debug)]
+/// A clone is a cursor at the same position, for reading ahead.
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,

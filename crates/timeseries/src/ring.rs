@@ -402,6 +402,38 @@ impl RingBuffer {
         Ok(())
     }
 
+    /// The ring of `capacity` samples that this ring's pushes would have
+    /// built: its last `capacity` samples under the push count, head
+    /// position, rebuild phase and extremum deques an uninterrupted ring
+    /// of that capacity reaches. Only the running sums may differ: they
+    /// are exact here, and meet the uninterrupted ring's again at its
+    /// next rebuild.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] if `capacity` is zero or larger
+    /// than this ring's.
+    pub fn resized(&self, capacity: usize) -> Result<RingBuffer> {
+        if capacity > self.capacity {
+            return Err(Error::invalid("capacity", "must not exceed the ring's own"));
+        }
+        let mut ring = RingBuffer::new(capacity)?;
+        let keep = self.len().min(capacity);
+        // Replay the kept samples under the push ids they had here.
+        ring.pushed = self.pushed - keep as u64;
+        for v in self.iter().skip(self.len() - keep) {
+            ring.push(v);
+        }
+        if ring.is_full() {
+            let phase = (ring.pushed % capacity as u64) as usize;
+            ring.buf.rotate_right(phase);
+            ring.head = phase;
+            ring.rebuild_sums();
+            ring.since_rebuild = phase;
+        }
+        Ok(ring)
+    }
+
     /// Removes all samples; capacity and lifetime counters are retained.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -476,6 +508,38 @@ mod tests {
                 assert_eq!(a, b, "chunk={chunk}");
             }
         }
+    }
+
+    #[test]
+    fn resized_ring_continues_like_an_uninterrupted_one() {
+        let values: Vec<f64> = (0..97u64)
+            .map(|i| ((i.wrapping_mul(2654435761) % 997) as f64) * 0.3125 - 150.0)
+            .collect();
+        // Cut before the wide ring fills, between, and after it wraps.
+        for cut in [3usize, 9, 12, 41, 60] {
+            let mut wide = RingBuffer::new(12).unwrap();
+            let mut narrow = RingBuffer::new(5).unwrap();
+            for &v in &values[..cut] {
+                wide.push(v);
+                narrow.push(v);
+            }
+            let mut resized = wide.resized(5).unwrap();
+            assert_eq!(resized.to_vec(), narrow.to_vec(), "cut={cut}");
+            assert_eq!(resized.pushed(), narrow.pushed());
+            assert_eq!(resized.min().ok(), narrow.min().ok());
+            assert_eq!(resized.max().ok(), narrow.max().ok());
+            // One rebuild generation later the whole state agrees.
+            for &v in &values[cut..cut + 5] {
+                resized.push(v);
+                narrow.push(v);
+            }
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            resized.encode_state(&mut a);
+            narrow.encode_state(&mut b);
+            assert_eq!(a, b, "cut={cut}");
+        }
+        assert!(RingBuffer::new(4).unwrap().resized(5).is_err());
     }
 
     #[test]
