@@ -6,10 +6,25 @@ use std::sync::{PoisonError, RwLock};
 use aging_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
 use aging_bench::scenarios;
 
-/// E15's hard gate compares the loopback throughput of two runs, which a
-/// neighbouring experiment's load can tip, so E15 holds this lock
-/// exclusively and every other experiment shares it.
+/// Experiments whose hard gates compare timings: E11's streaming speedup
+/// over re-running the batch detector, E12's 4-thread speedups, E15's
+/// journal overhead between two loopback runs and E16's 4-shard
+/// scale-out. A neighbouring test's load can tip any of them, so they
+/// hold [`RUN_ALONE`] exclusively while every other test shares it.
+const EXCLUSIVE: &[&str] = &["e11", "e12", "e15", "e16"];
+
 static RUN_ALONE: RwLock<()> = RwLock::new(());
+
+/// Runs `f` holding [`RUN_ALONE`]: exclusively when `alone`, else shared.
+fn locked<T>(alone: bool, f: impl FnOnce() -> T) -> T {
+    if alone {
+        let _guard = RUN_ALONE.write().unwrap_or_else(PoisonError::into_inner);
+        f()
+    } else {
+        let _guard = RUN_ALONE.read().unwrap_or_else(PoisonError::into_inner);
+        f()
+    }
+}
 
 /// One `#[test]` per experiment, so the harness runs them side by side,
 /// and the list of ids they cover.
@@ -22,11 +37,8 @@ macro_rules! quick_mode_tests {
                 #[test]
                 fn $id() {
                     let id = stringify!($id);
-                    let _alone = (id == "e15")
-                        .then(|| RUN_ALONE.write().unwrap_or_else(PoisonError::into_inner));
-                    let _shared = (id != "e15")
-                        .then(|| RUN_ALONE.read().unwrap_or_else(PoisonError::into_inner));
-                    run_experiment(id, true, None).unwrap_or_else(|e| panic!("{id} failed: {e}"));
+                    locked(EXCLUSIVE.contains(&id), || run_experiment(id, true, None))
+                        .unwrap_or_else(|e| panic!("{id} failed: {e}"));
                 }
             )*
         }
@@ -52,7 +64,7 @@ fn unknown_experiment_rejected() {
 fn csv_outputs_land_in_requested_directory() {
     let dir = std::env::temp_dir().join("holder-aging-harness-test");
     let _ = std::fs::remove_dir_all(&dir);
-    run_experiment("e5", true, Some(dir.as_path())).unwrap();
+    locked(false, || run_experiment("e5", true, Some(dir.as_path()))).unwrap();
     let entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("output dir created")
         .filter_map(|e| e.ok())

@@ -405,7 +405,19 @@ impl IncrementLadder {
     /// Allocates nothing.
     pub(crate) fn exponent(&self, window: &[f64]) -> f64 {
         let mut sums = [0.0f64; MAX_RUNGS];
-        dyadic_increment_sums::<false, _>(window, 0, &mut sums[..self.rungs], |d| d);
+        for (g, group) in sums[..self.rungs].chunks_mut(RUNG_GROUP).enumerate() {
+            let first = g * RUNG_GROUP;
+            match group.len() {
+                1 => increment_sums::<1>(window, first, group),
+                2 => increment_sums::<2>(window, first, group),
+                3 => increment_sums::<3>(window, first, group),
+                4 => increment_sums::<4>(window, first, group),
+                5 => increment_sums::<5>(window, first, group),
+                6 => increment_sums::<6>(window, first, group),
+                7 => increment_sums::<7>(window, first, group),
+                _ => increment_sums::<RUNG_GROUP>(window, first, group),
+            }
+        }
         let mut xs = [0.0f64; MAX_RUNGS];
         let mut ys = [0.0f64; MAX_RUNGS];
         let mut len = 0usize;
@@ -420,49 +432,15 @@ impl IncrementLadder {
     }
 }
 
-/// Writes `Σ_u pow(|x(u+r) − x(u)|)` into `sums[j]` for the lags
-/// `r = 2^(first+j)`, `j < sums.len()`, [`RUNG_GROUP`] lags per pass over
-/// `window` (which must be longer than the largest lag). With `GUARD`,
-/// pairs whose increment is zero are left out of the sums.
+/// Writes `Σ_u |x(u+r) − x(u)|` into `sums[j]` for the `R` rungs
+/// `r = 2^(first+j)`, in one pass over `window`.
 ///
-/// This is the one increment kernel: the Hölder ladder sums `|Δx|` with
-/// the identity power and no guard, and the rolling spectrum sums each
-/// moment order through it.
-pub(crate) fn dyadic_increment_sums<const GUARD: bool, F: Fn(f64) -> f64 + Copy>(
-    window: &[f64],
-    first: usize,
-    sums: &mut [f64],
-    pow: F,
-) {
-    for (g, group) in sums.chunks_mut(RUNG_GROUP).enumerate() {
-        let first = first + g * RUNG_GROUP;
-        match group.len() {
-            1 => increment_sums::<1, GUARD, F>(window, first, group, pow),
-            2 => increment_sums::<2, GUARD, F>(window, first, group, pow),
-            3 => increment_sums::<3, GUARD, F>(window, first, group, pow),
-            4 => increment_sums::<4, GUARD, F>(window, first, group, pow),
-            5 => increment_sums::<5, GUARD, F>(window, first, group, pow),
-            6 => increment_sums::<6, GUARD, F>(window, first, group, pow),
-            7 => increment_sums::<7, GUARD, F>(window, first, group, pow),
-            _ => increment_sums::<RUNG_GROUP, GUARD, F>(window, first, group, pow),
-        }
-    }
-}
-
-/// [`dyadic_increment_sums`] for one group of `R` lags, in one pass over
-/// `window`.
-///
-/// Each lag's sum keeps its own ascending order over `u` (reassociating
-/// FP adds would change bits); running the lags side by side only turns
+/// Each rung's sum keeps its own sequential order over `u` (reassociating
+/// FP adds would change bits); running the rungs side by side only turns
 /// `R` back-to-back dependency chains into `R` independent ones. The
 /// shifted slices let the compiler drop the bounds checks.
 #[inline]
-fn increment_sums<const R: usize, const GUARD: bool, F: Fn(f64) -> f64>(
-    window: &[f64],
-    first: usize,
-    sums: &mut [f64],
-    pow: F,
-) {
+fn increment_sums<const R: usize>(window: &[f64], first: usize, sums: &mut [f64]) {
     let top = 1usize << (first + R - 1);
     let m = window.len() - top;
     let base = &window[..m];
@@ -470,21 +448,15 @@ fn increment_sums<const R: usize, const GUARD: bool, F: Fn(f64) -> f64>(
     let mut acc = [0.0f64; R];
     for (u, &x) in base.iter().enumerate() {
         for j in 0..R {
-            let d = (shifted[j][u] - x).abs();
-            if !GUARD || d > 0.0 {
-                acc[j] += pow(d);
-            }
+            acc[j] += (shifted[j][u] - x).abs();
         }
     }
-    // The lags below the top still have partners past `m`.
+    // The rungs below the top still have partners past `m`.
     for (j, (a, sum)) in acc.iter().zip(sums.iter_mut()).enumerate() {
         let lag = 1usize << (first + j);
         let mut a = *a;
         for (b, x) in window[m + lag..].iter().zip(&window[m..]) {
-            let d = (b - x).abs();
-            if !GUARD || d > 0.0 {
-                a += pow(d);
-            }
+            a += (b - x).abs();
         }
         *sum = a;
     }

@@ -20,15 +20,11 @@
 //! module: [`spectrum`] computes one window's `ζ(q) → τ(q) → f(α)` chain
 //! and its width `Δα = α_max − α_min`, [`spectrum_trace`] slides that
 //! window over a whole series, and [`StreamingSpectrum`] is the
-//! bounded-memory online form. Both rolling estimators run one exact
-//! structure-function pass per emission: each moment order sums every
-//! scale of its window through the increment kernel the Hölder ladder
-//! uses, in the order [`spectrum`] sums them, so every emission equals
-//! [`spectrum`] on its window bit for bit. The q-sweep is embarrassingly
-//! parallel and runs on the [`aging_par::Pool`] with pool-size
-//! bit-parity.
+//! bounded-memory online form. Both rolling estimators run [`spectrum`]
+//! on every emitted window, so every emission equals it bit for bit. The
+//! q-sweep is embarrassingly parallel and runs on the
+//! [`aging_par::Pool`] with pool-size bit-parity.
 
-use crate::holder::dyadic_increment_sums;
 use aging_par::Pool;
 use aging_timeseries::persist::Reader;
 use aging_timeseries::regression::ols;
@@ -243,98 +239,57 @@ pub fn structure_function_in(data: &[f64], qs: &[f64], pool: &Pool) -> Result<Sc
     })
 }
 
-/// `d^q` with exact multiply ladders for the common small moment orders.
+/// One moment order's log–log structure-function fit: `(ζ(q), R²)`.
 ///
-/// `powf` dominated the per-emission profile of the rolling estimators;
-/// the ladders are pure multiplies (plus one correctly-rounded `sqrt`)
-/// the compiler keeps in registers. The batch fit computes moments
-/// through this helper and the rolling estimators through
-/// [`moment_sums`], its ladder arm for arm, so streaming==batch
-/// bit-parity is unaffected by the substitution. Callers guarantee
-/// `d > 0`.
-#[inline]
-fn moment_pow(d: f64, q: f64) -> f64 {
+/// The moments `d^q` use exact multiply ladders for the common small
+/// orders: `powf` dominated the per-emission profile of the rolling
+/// estimators, and the ladders are pure multiplies (plus one
+/// correctly-rounded `sqrt`) the compiler keeps in registers. The order
+/// is resolved here, once per fit, so no loop dispatches per increment.
+fn structure_fit_q(data: &[f64], scales: &[usize], q: f64) -> Result<(f64, f64)> {
     if q == 1.0 {
-        d
+        structure_fit_with(data, scales, q, |d| d)
     } else if q == 2.0 {
-        d * d
+        structure_fit_with(data, scales, q, |d| d * d)
     } else if q == 3.0 {
-        (d * d) * d
+        structure_fit_with(data, scales, q, |d| (d * d) * d)
     } else if q == 4.0 {
-        let d2 = d * d;
-        d2 * d2
-    } else if q == 5.0 {
-        let d2 = d * d;
-        (d2 * d2) * d
-    } else if q == 0.5 {
-        d.sqrt()
-    } else if q == -1.0 {
-        1.0 / d
-    } else if q == -2.0 {
-        1.0 / (d * d)
-    } else {
-        d.powf(q)
-    }
-}
-
-/// [`dyadic_scales`] starts at lag `2 = 2^1` and doubles, so the rolling
-/// estimators' scales are the dyadic lags from this shift up.
-const FIRST_SCALE_SHIFT: usize = 1;
-
-/// Writes `Σ_t d^q` over the pairs with `d = |x[t+s] − x[t]| > 0` into
-/// `sums[j]`, for the scales `s = 2^(FIRST_SCALE_SHIFT + j)`: the moment
-/// sums of [`structure_fit_q`], bit for bit.
-///
-/// The q dispatch below is [`moment_pow`]'s ladder, expression for
-/// expression, resolved once per call instead of once per element, so
-/// each arm's kernel loop compiles to tight branch-free multiplies. Any
-/// edit here must mirror [`moment_pow`] exactly or bit-parity breaks.
-/// The unguarded arms drop the per-element `d > 0` test: for those
-/// moment orders `pow(0) == +0.0` exactly, and adding `+0.0` never
-/// changes a sum's bits (the sums start at `+0.0` and fold non-negative
-/// terms, so they never hold `-0.0`, and `x − x` rounds to `+0.0`).
-/// Division-based and `powf` orders keep the guard, since `d = 0` would
-/// inject an infinity.
-fn moment_sums(window: &[f64], sums: &mut [f64], q: f64) {
-    let first = FIRST_SCALE_SHIFT;
-    if q == 1.0 {
-        dyadic_increment_sums::<false, _>(window, first, sums, |d| d);
-    } else if q == 2.0 {
-        dyadic_increment_sums::<false, _>(window, first, sums, |d| d * d);
-    } else if q == 3.0 {
-        dyadic_increment_sums::<false, _>(window, first, sums, |d| (d * d) * d);
-    } else if q == 4.0 {
-        dyadic_increment_sums::<false, _>(window, first, sums, |d| {
+        structure_fit_with(data, scales, q, |d| {
             let d2 = d * d;
             d2 * d2
-        });
+        })
     } else if q == 5.0 {
-        dyadic_increment_sums::<false, _>(window, first, sums, |d| {
+        structure_fit_with(data, scales, q, |d| {
             let d2 = d * d;
             (d2 * d2) * d
-        });
+        })
     } else if q == 0.5 {
-        dyadic_increment_sums::<false, _>(window, first, sums, |d| d.sqrt());
+        structure_fit_with(data, scales, q, f64::sqrt)
     } else if q == -1.0 {
-        dyadic_increment_sums::<true, _>(window, first, sums, |d| 1.0 / d);
+        structure_fit_with(data, scales, q, |d| 1.0 / d)
     } else if q == -2.0 {
-        dyadic_increment_sums::<true, _>(window, first, sums, |d| 1.0 / (d * d));
+        structure_fit_with(data, scales, q, |d| 1.0 / (d * d))
     } else {
-        dyadic_increment_sums::<true, _>(window, first, sums, |d| d.powf(q));
+        structure_fit_with(data, scales, q, |d| d.powf(q))
     }
 }
 
-/// One moment order's log–log structure-function fit: `(ζ(q), R²)`.
-fn structure_fit_q(data: &[f64], scales: &[usize], q: f64) -> Result<(f64, f64)> {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
+/// [`structure_fit_q`] with `pow(d) = d^q`, applied only to `d > 0`.
+fn structure_fit_with(
+    data: &[f64],
+    scales: &[usize],
+    q: f64,
+    pow: impl Fn(f64) -> f64,
+) -> Result<(f64, f64)> {
+    let mut xs = Vec::with_capacity(scales.len());
+    let mut ys = Vec::with_capacity(scales.len());
     for &s in scales {
         let mut acc = 0.0;
         let mut count = 0usize;
         for t in 0..data.len() - s {
             let d = (data[t + s] - data[t]).abs();
             if d > 0.0 {
-                acc += moment_pow(d, q);
+                acc += pow(d);
                 count += 1;
             }
         }
@@ -474,77 +429,6 @@ pub fn spectrum_in(data: &[f64], qs: &[f64], pool: &Pool) -> Result<SpectrumEsti
     })
 }
 
-/// Upper bound on the number of structure-function scales: scales are
-/// distinct powers of two that fit in a `usize`, so 64 always suffices.
-/// Bounding them lets the per-q tasks carry their moment sums and fit
-/// points on the stack instead of allocating per emission.
-const MAX_SCALES: usize = 64;
-
-/// Per-q scaling fit from one window's moment sums — the exact decision
-/// chain of [`structure_fit_q`]'s tail: per scale, mean moment
-/// `m = acc / count` contributes `(ln s, ln m)` when `count > 0` and `m`
-/// is positive finite; at least 3 surviving points feed [`ols`].
-fn fit_row(q: f64, row: &[f64], counts: &[f64], log_scales: &[f64]) -> Result<(f64, f64)> {
-    let mut xs = [0.0f64; MAX_SCALES];
-    let mut ys = [0.0f64; MAX_SCALES];
-    let mut len = 0usize;
-    for (si, &acc) in row.iter().enumerate() {
-        if counts[si] > 0.0 {
-            let m = acc / counts[si];
-            if m > 0.0 && m.is_finite() {
-                xs[len] = log_scales[si];
-                ys[len] = m.ln();
-                len += 1;
-            }
-        }
-    }
-    if len < 3 {
-        return Err(Error::Numerical(format!(
-            "not enough valid structure-function points for q={q}"
-        )));
-    }
-    let fit = ols(&xs[..len], &ys[..len])?;
-    Ok((fit.slope, fit.r_squared))
-}
-
-/// Legendre tail shared with [`spectrum_in`]: `ζ(q)` fits → `τ = ζ − 1` →
-/// [`legendre`] → `(α_min, α_max)`.
-///
-/// Inlines [`legendre`]'s central-difference `α(q)` and the NaN-skipping
-/// fold of [`stats::min`]/[`stats::max`] — identical arithmetic and error
-/// behaviour, with no per-emission Vec materialisation (this runs on the
-/// streaming emission path).
-fn alpha_range_from_fits(qs: &[f64], fits: &[(f64, f64)]) -> Result<(f64, f64)> {
-    if qs.len() != fits.len() {
-        return Err(Error::LengthMismatch {
-            left: qs.len(),
-            right: fits.len(),
-        });
-    }
-    Error::require_len(qs, 3)?;
-    let n = qs.len();
-    let tau = |i: usize| fits[i].0 - 1.0;
-    let mut mn: Option<f64> = None;
-    let mut mx: Option<f64> = None;
-    for i in 0..n {
-        let alpha = if i == 0 {
-            (tau(1) - tau(0)) / (qs[1] - qs[0])
-        } else if i == n - 1 {
-            (tau(n - 1) - tau(n - 2)) / (qs[n - 1] - qs[n - 2])
-        } else {
-            (tau(i + 1) - tau(i - 1)) / (qs[i + 1] - qs[i - 1])
-        };
-        if !alpha.is_nan() {
-            mn = Some(mn.map_or(alpha, |a| a.min(alpha)));
-            mx = Some(mx.map_or(alpha, |a| a.max(alpha)));
-        }
-    }
-    match (mn, mx) {
-        (Some(mn), Some(mx)) => Ok((mn, mx)),
-        _ => Err(Error::Numerical("no non-NaN samples".into())),
-    }
-}
-
 /// Offline rolling-window `Δα(t)` trace: [`spectrum`] on every
 /// window/stride grid position, on exactly the grid [`StreamingSpectrum`]
 /// emits on. This is the batch reference of E17's streaming-vs-batch
@@ -574,30 +458,39 @@ pub fn spectrum_trace_in(
     let mut start = 0usize;
     while start + config.window <= data.len() {
         let end = start + config.window;
-        let est = spectrum_in(&data[start..end], &config.qs, pool)?;
-        out.push(SpectrumWindow {
-            input_index: (end - 1) as u64,
-            alpha_min: est.alpha_min,
-            alpha_max: est.alpha_max,
-            delta_alpha: est.delta_alpha,
-        });
+        out.push(emission(
+            &data[start..end],
+            (end - 1) as u64,
+            &config.qs,
+            pool,
+        )?);
         start += config.stride;
     }
     Ok(out)
 }
 
+/// [`spectrum_in`] on one rolling window, which ends at input
+/// `input_index`.
+fn emission(window: &[f64], input_index: u64, qs: &[f64], pool: &Pool) -> Result<SpectrumWindow> {
+    let est = spectrum_in(window, qs, pool)?;
+    Ok(SpectrumWindow {
+        input_index,
+        alpha_min: est.alpha_min,
+        alpha_max: est.alpha_max,
+        delta_alpha: est.delta_alpha,
+    })
+}
+
 /// Bounded-memory rolling spectrum estimator.
 ///
 /// Holds the trailing `window` samples in a [`RingBuffer`]; once the
-/// window has filled, every `stride`-th push runs one exact
-/// structure-function pass over it, so each emitted [`SpectrumWindow`]
-/// equals [`spectrum`] on its window and the offline [`spectrum_trace`]
+/// window has filled, every `stride`-th push runs [`spectrum`] on it, so
+/// each emitted [`SpectrumWindow`] equals the offline [`spectrum_trace`]
 /// at the same grid position bit for bit, at any pool size and any push
 /// chunking.
 #[derive(Debug, Clone)]
 pub struct StreamingSpectrum {
     config: SpectrumConfig,
-    log_scales: Vec<f64>,
     ring: RingBuffer,
     scratch: Vec<f64>,
 }
@@ -612,10 +505,6 @@ impl StreamingSpectrum {
         config.validate()?;
         Ok(StreamingSpectrum {
             config: config.clone(),
-            log_scales: dyadic_scales(config.window, 8)?
-                .iter()
-                .map(|&s| (s as f64).ln())
-                .collect(),
             ring: RingBuffer::new(config.window)?,
             scratch: Vec::with_capacity(config.window),
         })
@@ -670,36 +559,7 @@ impl StreamingSpectrum {
             return Ok(None);
         }
         self.ring.copy_to(&mut self.scratch);
-        self.emission(n - 1, pool).map(Some)
-    }
-
-    /// The emission for the window in `scratch`, which ends at input
-    /// `input_index`: [`spectrum_in`]'s `α_min`, `α_max` and `Δα` on it,
-    /// bit for bit.
-    ///
-    /// Each moment order is one pool task that sums every scale of the
-    /// window in one pass of the increment kernel ([`moment_sums`]). Each
-    /// sum keeps [`structure_fit_q`]'s ascending-`t` order, and the
-    /// per-scale pair counts are the kernel's guarded zeroth moment, so
-    /// every fit sees the numbers [`structure_fit_q`] sees.
-    fn emission(&self, input_index: u64, pool: &Pool) -> Result<SpectrumWindow> {
-        let (window, qs, log_scales) = (&self.scratch, &self.config.qs, &self.log_scales);
-        let ns = log_scales.len();
-        let mut counts = [0.0f64; MAX_SCALES];
-        dyadic_increment_sums::<true, _>(window, FIRST_SCALE_SHIFT, &mut counts[..ns], |_| 1.0);
-        let counts = &counts[..ns];
-        let fits = pool.try_map_indexed(qs.len(), |i| {
-            let mut sums = [0.0f64; MAX_SCALES];
-            moment_sums(window, &mut sums[..ns], qs[i]);
-            fit_row(qs[i], &sums[..ns], counts, log_scales)
-        })?;
-        let (alpha_min, alpha_max) = alpha_range_from_fits(qs, &fits)?;
-        Ok(SpectrumWindow {
-            input_index,
-            alpha_min,
-            alpha_max,
-            delta_alpha: alpha_max - alpha_min,
-        })
+        emission(&self.scratch, n - 1, &self.config.qs, pool).map(Some)
     }
 
     /// Pushes a batch of samples, collecting emissions into `out`
@@ -761,7 +621,8 @@ impl StreamingSpectrum {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] on truncated or inconsistent
-    /// bytes.
+    /// bytes, including an old-layout blob whose accumulator sections do
+    /// not fit this configuration's scales and q grid.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
         if r.clone().usize_()? == self.config.window {
             return self.ring.restore_state(r);
@@ -773,8 +634,18 @@ impl StreamingSpectrum {
         // moment sums (f64).
         r.bool()?;
         r.u32()?;
-        for _ in 0..2 {
+        let scales = dyadic_scales(self.config.window, 8)?.len();
+        for (section, want) in [
+            ("scale", scales),
+            ("accumulator", self.config.qs.len() * scales),
+        ] {
             let n = r.count(Reader::u64, 8)?;
+            if n != want {
+                return Err(Error::invalid(
+                    "persist",
+                    format!("spectrum {section} count {want} != snapshot {n}"),
+                ));
+            }
             r.take(n * 8)?;
         }
         self.ring = legacy.resized(self.config.window)?;
@@ -1066,6 +937,78 @@ mod tests {
     }
 
     #[test]
+    fn structure_fit_matches_a_per_increment_ladder_bitwise() {
+        // The rolling grid never reaches the negative and `powf` orders, so
+        // this is their only bitwise check. The walk stands still on about
+        // a third of its steps, so some increments are zero and the guard
+        // is exercised.
+        let ladder = |d: f64, q: f64| {
+            if q == 1.0 {
+                d
+            } else if q == 2.0 {
+                d * d
+            } else if q == 3.0 {
+                (d * d) * d
+            } else if q == 4.0 {
+                (d * d) * (d * d)
+            } else if q == 5.0 {
+                ((d * d) * (d * d)) * d
+            } else if q == 0.5 {
+                d.sqrt()
+            } else if q == -1.0 {
+                1.0 / d
+            } else if q == -2.0 {
+                1.0 / (d * d)
+            } else {
+                d.powf(q)
+            }
+        };
+        for seed in 1..=32u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut level = 0.0;
+            let x: Vec<f64> = (0..300)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    if state % 3 != 0 {
+                        level += (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    }
+                    level
+                })
+                .collect();
+            assert!(x.windows(3).any(|w| w[2] == w[0]), "no zero increment");
+            let scales = dyadic_scales(x.len(), 8).unwrap();
+            for q in [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0, -1.5] {
+                let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                for &s in &scales {
+                    let (mut acc, mut count) = (0.0, 0usize);
+                    for t in 0..x.len() - s {
+                        let d = (x[t + s] - x[t]).abs();
+                        if d > 0.0 {
+                            acc += ladder(d, q);
+                            count += 1;
+                        }
+                    }
+                    let m = acc / count as f64;
+                    if count > 0 && m > 0.0 && m.is_finite() {
+                        xs.push((s as f64).ln());
+                        ys.push(m.ln());
+                    }
+                }
+                let fit = ols(&xs, &ys).unwrap();
+                let (zeta, r2) = structure_fit_q(&x, &scales, q).unwrap();
+                assert_eq!(zeta.to_bits(), fit.slope.to_bits(), "ζ, q={q}, seed {seed}");
+                assert_eq!(
+                    r2.to_bits(),
+                    fit.r_squared.to_bits(),
+                    "R², q={q}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mfdfa_recovers_hurst_of_fgn() {
         for &(h, seed) in &[(0.3, 2u64), (0.7, 3)] {
             let x = generate::fgn(8192, h, seed).unwrap();
@@ -1330,55 +1273,70 @@ mod tests {
         assert_eq!(stream.qs(), cfg.qs.as_slice());
     }
 
-    /// An integer random walk times 0.37: samples repeat exactly, so
-    /// some increments are zero.
-    fn repeating_walk(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed;
-        let mut k = 0i64;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                k += (state % 3) as i64 - 1;
-                k as f64 * 0.37
-            })
-            .collect()
+    /// A blob in the layout written while the rolling estimators slid
+    /// their moment sums: a `window + stride` ring holding `x`, then the
+    /// sliding kernel's flag and cadence and its two counted sections.
+    fn sliding_layout_blob(cfg: &SpectrumConfig, x: &[f64], scales: usize, sums: usize) -> Vec<u8> {
+        use aging_timeseries::persist::{put_bool, put_f64, put_u32, put_u64, put_usize};
+        let mut ring = RingBuffer::new(cfg.window + cfg.stride).unwrap();
+        for &v in x {
+            ring.push(v);
+        }
+        let mut blob = Vec::new();
+        ring.encode_state(&mut blob);
+        put_bool(&mut blob, true);
+        put_u32(&mut blob, 3);
+        put_usize(&mut blob, scales);
+        for _ in 0..scales {
+            put_u64(&mut blob, 100);
+        }
+        put_usize(&mut blob, sums);
+        for _ in 0..sums {
+            put_f64(&mut blob, 1.0);
+        }
+        blob
     }
 
     #[test]
-    fn moment_sums_match_a_per_lag_loop_bitwise() {
-        // The rolling grids never reach the guarded arms (negative and
-        // `powf` orders), so this is their only check; 9 lags cross the
-        // kernel's 8-lag group boundary.
-        let qs = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0, -1.5];
-        for lags in 1..=9usize {
-            let top = 1usize << (FIRST_SCALE_SHIFT + lags - 1);
-            for (n, seed) in [(top + 1, 1u64), (top + 37, 2), (2 * top + 5, 3)] {
-                let x = &repeating_walk(n, seed);
-                let lag = |j: usize| 1usize << (FIRST_SCALE_SHIFT + j);
-                let increments = |s: usize| (0..n - s).map(move |t| (x[t + s] - x[t]).abs());
-                assert!(increments(lag(0)).any(|d| d == 0.0), "no zero increment");
-                for q in qs {
-                    let mut sums = [f64::NAN; 9];
-                    moment_sums(x, &mut sums[..lags], q);
-                    for (j, sum) in sums[..lags].iter().enumerate() {
-                        let mut naive = 0.0;
-                        for d in increments(lag(j)).filter(|&d| d > 0.0) {
-                            naive += moment_pow(d, q);
-                        }
-                        assert_eq!(sum.to_bits(), naive.to_bits(), "q={q} lag {} n={n}", lag(j));
-                    }
-                }
-                let mut counts = [f64::NAN; 9];
-                dyadic_increment_sums::<true, _>(x, FIRST_SCALE_SHIFT, &mut counts[..lags], |_| {
-                    1.0
-                });
-                for (j, &count) in counts[..lags].iter().enumerate() {
-                    let naive = increments(lag(j)).filter(|&d| d > 0.0).count();
-                    assert_eq!(count, naive as f64, "pair count at lag {} n={n}", lag(j));
-                }
-            }
+    fn sliding_layout_restores_only_with_matching_sections() {
+        let cfg = spectrum_test_config();
+        let x = generate::fbm(300, 0.6, 26).unwrap();
+        let scales = dyadic_scales(cfg.window, 8).unwrap().len();
+        let sums = cfg.qs.len() * scales;
+        let restore = |blob: &[u8]| {
+            let mut s = StreamingSpectrum::new(&cfg).unwrap();
+            let mut r = Reader::new(blob);
+            s.restore_state(&mut r)
+                .and_then(|()| r.finish())
+                .map(|()| s)
+        };
+
+        // The old layout resumes like an uninterrupted run.
+        let mut restored = restore(&sliding_layout_blob(&cfg, &x, scales, sums)).unwrap();
+        let mut live = StreamingSpectrum::new(&cfg).unwrap();
+        for &v in &x {
+            live.push(v).unwrap();
+        }
+        assert_eq!(restored.samples_seen(), live.samples_seen());
+        let tail = generate::fbm(160, 0.6, 27).unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        restored.push_slice(&tail, &mut a).unwrap();
+        live.push_slice(&tail, &mut b).unwrap();
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+
+        // A section sized for other scales or another q grid is rejected.
+        for (s, n) in [
+            (scales - 1, sums),
+            (scales + 1, sums),
+            (scales, sums - scales),
+            (scales, sums + scales),
+        ] {
+            let err = restore(&sliding_layout_blob(&cfg, &x, s, n)).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidParameter { .. }),
+                "scales {s}, sums {n}: {err:?}"
+            );
         }
     }
 

@@ -19,11 +19,11 @@
 //! - `StreamingHolder::push` including emissions,
 //! - `StreamingDimension::push` (both window methods) including
 //!   emissions,
-//! - `StreamingSpectrum::push_in` between emissions (emissions
-//!   themselves go through the pool's `try_map_indexed`, which returns
-//!   its results in a fresh `Vec` — perfbench times that per-emission
-//!   cost as `fractal.spectrum.us_per_emission`; this guard does not
-//!   cover it).
+//! - `StreamingSpectrum::push_in` between emissions (an emission runs
+//!   the batch `spectrum_in` on its window, which allocates its fit
+//!   points and result vectors — perfbench times that per-emission cost
+//!   as `fractal.spectrum.us_per_emission`; this guard does not cover
+//!   it).
 //!
 //! Everything runs in ONE `#[test]` so no concurrent test can pollute
 //! the global counter.
@@ -398,7 +398,7 @@ fn streaming_dimension_stays_allocation_free(method: WindowDimension) {
 }
 
 /// Streaming spectrum pushes between emissions must not allocate (the
-/// emission itself pays one pool fan-out).
+/// emission itself is a batch `spectrum_in` pass).
 fn streaming_spectrum_between_emissions_stays_allocation_free() {
     let config = SpectrumConfig::default();
     let (window, stride) = (config.window, config.stride);
@@ -406,7 +406,7 @@ fn streaming_spectrum_between_emissions_stays_allocation_free() {
     let pool = Pool::new(1);
     let data = noise(window + stride);
 
-    // Warmup through the first emission so ring + kernel are built.
+    // Warmup through the first emission so ring + scratch are built.
     for &v in &data[..window] {
         spectrum.push_in(v, &pool).unwrap();
     }
