@@ -4,8 +4,9 @@
 //! Hölder-dimension software-aging detector of *"Software Aging and
 //! Multifractality of Memory Resources"* (Shereshevsky, Cukic, Crowell,
 //! Gandikota, Liu — DSN 2003), together with the classical trend-based
-//! baselines, a scoring harness, multifractality-progression analysis and
-//! rejuvenation policy simulation.
+//! baselines, a scoring harness and multifractality-progression analysis.
+//! The rejuvenation policies the detector exists to trigger run online,
+//! in `aging-rejuv` and the `aging-stream` fleet supervisor.
 //!
 //! - [`detector`] — the streaming Hölder-dimension detector (the paper's
 //!   method: Hölder trace → windowed fractal dimension → two-jump alarm);
@@ -15,8 +16,7 @@
 //!   behind the common [`baseline::AgingPredictor`] trait;
 //! - [`eval`] — segment-based alarm scoring (lead time, misses, false
 //!   alarms) across simulated fleets;
-//! - [`mod@progression`] — early-vs-late-life multifractality measurements;
-//! - [`rejuvenation`] — availability comparison of restart policies.
+//! - [`mod@progression`] — early-vs-late-life multifractality measurements.
 //!
 //! # Examples
 //!
@@ -51,7 +51,6 @@ pub mod discipline;
 pub mod eval;
 pub mod fusion;
 pub mod progression;
-pub mod rejuvenation;
 pub mod report;
 pub mod roc;
 
@@ -60,6 +59,5 @@ pub use detector::{Alert, AlertLevel, DetectorConfig, HolderDimensionDetector};
 pub use eval::{compare, evaluate, ComparisonRow, PredictorSpec, SegmentOutcome};
 pub use fusion::{evaluate_fusion, FusionPredictor, FusionRule};
 pub use progression::{progression, ProgressionConfig, SegmentMultifractality};
-pub use rejuvenation::{run_policy, OutageCosts, Policy, PolicyOutcome};
 pub use report::{assess, Assessment, AssessmentConfig, Verdict};
 pub use roc::{sweep_detector, RocPoint, SweepParameter};

@@ -259,13 +259,6 @@ impl Machine {
         self.rejuvenations
     }
 
-    /// The monitor sample emitted by the most recent [`Machine::step`], if
-    /// that step fell on a sampling instant. Online consumers (predictors,
-    /// rejuvenation policies) poll this after each step.
-    pub fn last_sample(&self) -> Option<Sample> {
-        self.last_sample
-    }
-
     /// Advances one simulation step. Returns the crash event if the machine
     /// died during this step; a crashed machine no longer advances.
     pub fn step(&mut self) -> Option<CrashEvent> {
@@ -584,7 +577,7 @@ mod tests {
                 Tick::Sample(sample) => {
                     rows += 1;
                     assert_eq!(machine.log().len(), rows);
-                    assert_eq!(Some(sample), machine.last_sample());
+                    assert_eq!(Some(sample), machine.last_sample);
                 }
                 Tick::Crash(crash) => break crash,
                 Tick::Horizon => panic!("the leak crashes first"),
@@ -660,7 +653,7 @@ mod tests {
         // 60 s at 1 s steps: the outage emits no samples at all.
         for _ in 0..60 {
             assert!(machine.step().is_none());
-            assert!(machine.last_sample().is_none());
+            assert!(machine.last_sample.is_none());
         }
         assert!(!machine.is_down());
         assert_eq!(machine.log().len(), samples_before);

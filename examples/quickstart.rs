@@ -16,8 +16,8 @@ fn main() -> Result<()> {
         scenario.machine.name, scenario.machine.ram, scenario.machine.swap
     );
 
-    // Online loop: step the machine; feed every monitor sample into the
-    // streaming detector, exactly as a production agent would.
+    // Online loop: step the machine to each monitor row and feed it into
+    // the streaming detector, exactly as a production agent would.
     let mut machine = Machine::boot(&scenario)?;
     let mut detector = HolderDimensionDetector::new(
         DetectorConfig::builder()
@@ -31,27 +31,26 @@ fn main() -> Result<()> {
 
     let mut first_alarm: Option<SimTime> = None;
     let crash = loop {
-        if let Some(crash) = machine.step() {
-            break crash;
-        }
-        if machine.now().as_hours() > 12.0 {
-            println!("machine survived 12 h — raise the leak rate for a faster demo");
-            return Ok(());
-        }
-        if let Some(sample) = machine.last_sample() {
-            if let Some(alert) = detector.push(sample.available.as_f64())? {
-                println!(
-                    "[{}] {}: dimension {:.3} vs baseline {:.3}, mean h {:.3} (trigger: {:?})",
-                    machine.now(),
-                    alert.level,
-                    alert.dimension,
-                    alert.dimension_baseline,
-                    alert.mean_holder,
-                    alert.trigger,
-                );
-                if alert.level == AlertLevel::Alarm && first_alarm.is_none() {
-                    first_alarm = Some(machine.now());
-                }
+        let sample = match machine.next_sample(12.0 * 3600.0) {
+            Tick::Sample(sample) => sample,
+            Tick::Crash(crash) => break crash,
+            Tick::Horizon => {
+                println!("machine survived 12 h — raise the leak rate for a faster demo");
+                return Ok(());
+            }
+        };
+        if let Some(alert) = detector.push(sample.available.as_f64())? {
+            println!(
+                "[{}] {}: dimension {:.3} vs baseline {:.3}, mean h {:.3} (trigger: {:?})",
+                machine.now(),
+                alert.level,
+                alert.dimension,
+                alert.dimension_baseline,
+                alert.mean_holder,
+                alert.trigger,
+            );
+            if alert.level == AlertLevel::Alarm && first_alarm.is_none() {
+                first_alarm = Some(machine.now());
             }
         }
     };

@@ -19,7 +19,7 @@
 //! | [`wavelet`] | `aging-wavelet` | DWT / MODWT / wavelet leaders / denoising |
 //! | [`fractal`] | `aging-fractal` | generators, Hölder, Hurst, dimensions, spectra |
 //! | [`memsim`] | `aging-memsim` | the simulated testbed (machines, workloads, faults) |
-//! | [`core`] | `aging-core` | the detector, baselines, evaluation, rejuvenation |
+//! | [`core`] | `aging-core` | the detector, baselines, evaluation |
 //! | [`rejuv`] | `aging-rejuv` | closed-loop restart policies, arbiter and availability accounting |
 //! | [`stream`] | `aging-stream` | online bounded-memory detection, fleet supervisor, telemetry |
 //! | [`chaos`] | `aging-chaos` | seeded fault injection and the differential robustness harness |
@@ -84,7 +84,6 @@ pub mod prelude {
     };
     pub use aging_core::eval::{compare, compare_in, evaluate, ComparisonRow, PredictorSpec};
     pub use aging_core::progression::{progression, ProgressionConfig};
-    pub use aging_core::rejuvenation::{run_policy, OutageCosts, Policy};
     pub use aging_core::report::{assess, Assessment, AssessmentConfig, Verdict};
     pub use aging_core::roc::{sweep_detector, sweep_detector_in, RocPoint, SweepParameter};
     pub use aging_fractal::holder::{holder_trace, holder_trace_in, HolderEstimator};
@@ -95,7 +94,7 @@ pub mod prelude {
     pub use aging_fractal::{dimension, generate, hurst, spectrum};
     pub use aging_memsim::{
         simulate, simulate_fleet, simulate_fleet_in, simulate_with_reboots, Bytes, Counter,
-        FaultPlan, Machine, MachineConfig, Scenario, SimTime, WorkloadConfig,
+        FaultPlan, Machine, MachineConfig, Scenario, SimTime, Tick, WorkloadConfig,
     };
     pub use aging_par::Pool;
     pub use aging_rejuv::{
